@@ -1,10 +1,8 @@
-"""Scaling benches for the dependence engine (PR: parallel, memoized engine).
+"""Scaling benches for the dependence engine's canonical-problem cache.
 
-Measures the two performance levels added by the canonical-problem cache and
-the multiprocess pair evaluator, on a solve-bound workload of 3-D linearized
-subscript pairs (the paper's target population — each pair costs ~10ms of
-solver time, so caching and parallelism are visible over the fixed per-pair
-bookkeeping):
+Measures the cache on a solve-bound workload of 3-D linearized subscript
+pairs (the paper's target population — each pair costs ~10ms of solver time,
+so caching is visible over the fixed per-pair bookkeeping):
 
 * ``serial_nocache`` — ``analyze_dependences(use_cache=False)``, the PR-4
   baseline path;
@@ -14,8 +12,6 @@ bookkeeping):
   one program already hit intra-run);
 * ``serial_warm``    — the same cache again, every pair a hit (the ">=5x
   warm" target);
-* ``parallel_cold``  — ``jobs=min(4, cpus)`` with a fresh cache (the ">=3x
-  on 4 cores" target; reported but not gated on smaller machines);
 * ``solver_*``       — the cache layer alone: :func:`cached_delinearize`
   cold vs warm over renamed/scaled twins, no graph machinery at all.
 
@@ -31,9 +27,8 @@ Usage::
         --check benchmarks/baseline_scale.json            # 25% regression gate
     python benchmarks/bench_scale.py --output results.json
 
-The committed ``baseline_scale.json`` was recorded with ``--quick`` on the
-reference container (1 CPU — the parallel leg is reported there for honesty
-but only gated when the measuring machine has >= 4 CPUs).
+The committed ``baseline_scale.json`` was recorded with ``--quick`` on a
+1-CPU x86-64 container.
 """
 
 from __future__ import annotations
@@ -124,7 +119,7 @@ def timed(run) -> float:
     return time.perf_counter() - start
 
 
-def bench(quick: bool, jobs: int, repeats: int, cache_dir: str | None) -> dict:
+def bench(quick: bool, repeats: int, cache_dir: str | None) -> dict:
     statements = 6 if quick else 20
     program = normalize_program(parse_fortran(corpus_source(statements)))
     pairs = len(reference_pairs(program))
@@ -143,12 +138,6 @@ def bench(quick: bool, jobs: int, repeats: int, cache_dir: str | None) -> dict:
     analyze_dependences(program, cache=warm, **kwargs)
     timings["serial_warm"] = best_of(
         repeats, lambda: analyze_dependences(program, cache=warm, **kwargs)
-    )
-    timings["parallel_cold"] = best_of(
-        repeats,
-        lambda: analyze_dependences(
-            program, cache=ProblemCache(), jobs=jobs, **kwargs
-        ),
     )
     if cache_dir:
         # Persistent warm-up: a fresh in-memory cache loaded from disk.
@@ -184,7 +173,6 @@ def bench(quick: bool, jobs: int, repeats: int, cache_dir: str | None) -> dict:
     ratios = {
         "cold_overhead": timings["serial_cold"] / timings["serial_nocache"] - 1,
         "warm_speedup": timings["serial_nocache"] / timings["serial_warm"],
-        "parallel_speedup": timings["serial_nocache"] / timings["parallel_cold"],
         "solver_warm_speedup": timings["solver_nocache"] / timings["solver_warm"],
     }
     return {
@@ -193,7 +181,6 @@ def bench(quick: bool, jobs: int, repeats: int, cache_dir: str | None) -> dict:
             "statements": statements,
             "pairs": pairs,
             "solver_problems": len(problems),
-            "jobs": jobs,
             "repeats": repeats,
         },
         "cpu_count": os.cpu_count(),
@@ -206,7 +193,6 @@ def bench(quick: bool, jobs: int, repeats: int, cache_dir: str | None) -> dict:
 def report_targets(result: dict) -> None:
     """Print the ISSUE targets with honest PASS/FAIL/SKIP verdicts."""
     ratios = result["ratios"]
-    cpus = result["cpu_count"] or 1
 
     def line(label, verdict):
         print(f"  {label:<58} {verdict}")
@@ -214,7 +200,7 @@ def report_targets(result: dict) -> None:
     print("targets:")
     overhead = ratios["cold_overhead"]
     line(
-        f"jobs=1 cold overhead < 3%            (measured {overhead:+.1%})",
+        f"cold overhead < 3%                   (measured {overhead:+.1%})",
         "PASS" if overhead < 0.03 else "FAIL",
     )
     warm = ratios["warm_speedup"]
@@ -227,17 +213,6 @@ def report_targets(result: dict) -> None:
         f"solver-level warm >= 5x              (measured {solver:.1f}x)",
         "PASS" if solver >= 5 else "FAIL",
     )
-    par = ratios["parallel_speedup"]
-    if cpus >= 4:
-        line(
-            f"jobs=4 >= 3x                         (measured {par:.1f}x)",
-            "PASS" if par >= 3 else "FAIL",
-        )
-    else:
-        line(
-            f"jobs=4 >= 3x                         (measured {par:.1f}x)",
-            f"SKIP ({cpus} cpu)",
-        )
 
 
 def check_against(result: dict, baseline_path: str) -> int:
@@ -245,7 +220,6 @@ def check_against(result: dict, baseline_path: str) -> int:
     baseline = json.loads(Path(baseline_path).read_text())
     base_ratios = baseline["ratios"]
     ratios = result["ratios"]
-    cpus = result["cpu_count"] or 1
     failures = []
 
     # Higher is better; regression = dropping below 75% of baseline.
@@ -262,16 +236,6 @@ def check_against(result: dict, baseline_path: str) -> int:
         failures.append(
             f"cold_overhead: {ratios['cold_overhead']:+.1%} > {ceiling:+.1%}"
         )
-    # The parallel ratio depends on core count; only gate it on machines at
-    # least as parallel as the baseline recorder's.
-    if cpus >= 4 and (baseline.get("cpu_count") or 1) >= 4:
-        floor = base_ratios["parallel_speedup"] * (1 - TOLERANCE)
-        if ratios["parallel_speedup"] < floor:
-            failures.append(
-                f"parallel_speedup: {ratios['parallel_speedup']:.2f}x "
-                f"< {floor:.2f}x"
-            )
-
     if failures:
         print("REGRESSION vs", baseline_path)
         for failure in failures:
@@ -287,12 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="CI-sized workload (~60 pairs)"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=min(4, os.cpu_count() or 1),
-        help="worker count for the parallel leg (default: min(4, cpus))",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=None, help="best-of repeats per leg"
     )
     parser.add_argument(
@@ -305,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (1 if args.quick else 3)
-    result = bench(args.quick, args.jobs, repeats, args.cache_dir)
+    result = bench(args.quick, repeats, args.cache_dir)
     print(json.dumps(result, indent=2))
     report_targets(result)
     if args.output:

@@ -292,14 +292,15 @@ def _add_source_args(
         help="re-raise internal analysis errors instead of degrading to "
         "conservative fallbacks (recommended in CI)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate dependence pairs (and lint multiple files) on N "
-        "worker processes; output is identical for any N (default: 1)",
-    )
+    if multiple:
+        parser.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            metavar="N",
+            help="lint several files on N worker processes; output is "
+            "identical for any N (default: 1)",
+        )
     parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -346,7 +347,6 @@ def _perf_options(args) -> dict:
     """The dependence-analysis performance knobs shared by every command."""
     cache_dir = getattr(args, "cache_dir", None)
     return {
-        "jobs": getattr(args, "jobs", 1),
         "use_cache": not getattr(args, "no_cache", False),
         "cache_dir": None if cache_dir is None else str(cache_dir),
     }
@@ -493,7 +493,6 @@ def _lint_one_file(
     language: str,
     assumptions: Assumptions,
     options: dict,
-    jobs: int = 1,
     keep_program: bool = True,
 ):
     """Lint a single path; the unit of work for the multi-file fan-out.
@@ -517,7 +516,6 @@ def _lint_one_file(
         source,
         language=language,
         assumptions=assumptions,
-        jobs=jobs,
         **options,
     )
     if not keep_program:
@@ -533,27 +531,24 @@ def _cmd_lint(args) -> int:
     # Sorted by path so multi-file output (and JSON) is deterministic
     # regardless of the order arguments were given in.
     paths = sorted(args.files, key=str)
-    perf = _perf_options(args)
     options = {
         "audit": not args.no_audit,
         "ranges": not args.no_derived_bounds,
         "schedule": args.schedule,
         "strict": args.strict,
-        "use_cache": perf["use_cache"],
-        "cache_dir": perf["cache_dir"],
+        **_perf_options(args),
     }
-    jobs = perf["jobs"]
     work = [
         (str(path), _language_for(path, args.lang)) for path in paths
     ]
-    # Fan out whole files when several were given; fan out dependence pairs
-    # inside the file otherwise.  Chaos keeps the serial path: workers would
-    # draw from per-file fault streams and diverge from a jobs=1 run.
-    if jobs > 1 and len(work) > 1 and active_state() is None:
+    # Fan out whole files when several were given.  Chaos keeps the serial
+    # path: workers would draw from per-file fault streams and diverge from
+    # a --jobs 1 run.
+    if args.jobs > 1 and len(work) > 1 and active_state() is None:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(work))
+            max_workers=min(args.jobs, len(work))
         ) as pool:
             results = list(
                 pool.map(
@@ -562,14 +557,12 @@ def _cmd_lint(args) -> int:
                     [language for _, language in work],
                     [assumptions] * len(work),
                     [options] * len(work),
-                    [1] * len(work),
                     [False] * len(work),
                 )
             )
     else:
-        file_jobs = jobs if len(work) == 1 else 1
         results = [
-            _lint_one_file(path, language, assumptions, options, file_jobs)
+            _lint_one_file(path, language, assumptions, options)
             for path, language in work
         ]
     reports = [(Path(path_str), report) for path_str, report in results]

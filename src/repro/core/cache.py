@@ -96,7 +96,6 @@ class ProblemCache:
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._data: OrderedDict[CanonKey, CachedOutcome] = OrderedDict()
-        self._fresh: dict[CanonKey, CachedOutcome] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -115,7 +114,6 @@ class ProblemCache:
             self._data.move_to_end(key)
             return
         self._data[key] = entry
-        self._fresh[key] = entry
         self.stats.stores += 1
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
@@ -123,19 +121,7 @@ class ProblemCache:
 
     def clear(self) -> None:
         self._data.clear()
-        self._fresh.clear()
         self.stats = CacheStats()
-
-    def take_fresh(self) -> dict[CanonKey, CachedOutcome]:
-        """Entries stored since the last load/take — what workers ship back."""
-        fresh = self._fresh
-        self._fresh = {}
-        return fresh
-
-    def merge(self, entries: dict[CanonKey, CachedOutcome]) -> None:
-        """Adopt entries produced elsewhere (worker results, disk files)."""
-        for key, entry in entries.items():
-            self.store(key, entry)
 
     # -- persistence -------------------------------------------------------
 

@@ -72,12 +72,13 @@ class ChaosError(RuntimeError):
 class ChaosState:
     """One activation of the harness: seed, rate, site filter, telemetry.
 
-    ``scope`` makes site decisions process-safe: pool workers install a copy
-    of the parent's state with ``scope`` set to their deterministic batch id,
-    so each worker draws from its own fault stream instead of all workers
-    replaying hit 0, 1, 2, ... of the parent's.  An empty scope (the default,
-    and the single-process case) leaves the decision digest exactly as
-    before, so existing seeded fault patterns are unchanged.
+    ``scope`` gives each daemon request its own fault stream: a worker
+    process serving many requests installs a fresh state scoped ``req<id>``
+    per request (:mod:`repro.server.worker`), so a request's faults depend on
+    its id alone, not on which worker ran it or what ran there before.  An
+    empty scope (the default, used by every one-shot entry point) leaves the
+    decision digest exactly as before, so existing seeded fault patterns are
+    unchanged.
     """
 
     seed: int
@@ -102,10 +103,6 @@ class ChaosState:
             self.fired.append((site, hit))
             return True
         return False
-
-    def for_scope(self, scope: str) -> "ChaosState":
-        """A fresh state with the same seed/rate/sites under a new scope."""
-        return ChaosState(self.seed, self.rate, self.sites, scope)
 
 
 _STATE: ChaosState | None = None

@@ -67,8 +67,8 @@ class Dependence:
         """True when either endpoint executes only on specific IF branches.
 
         Derived from the endpoints' guard chains (program structure), not
-        stored on the edge: :class:`EdgeSpec` stays unchanged and parallel
-        builds remain byte-identical to serial ones.
+        stored on the edge, so :class:`EdgeSpec` stays unchanged and replayed
+        outcomes build the same edges as fresh ones.
         """
         return self.source.guarded or self.sink.guarded
 
@@ -93,13 +93,14 @@ class GraphPerf:
     """Observability counters for one graph build.
 
     Everything here is *reporting only*: the graph itself is byte-identical
-    for any ``jobs`` value and any cache state, while these counters describe
-    how the work was done (and so legitimately vary between configurations —
-    they are deliberately excluded from the graph's table/DOT/JSON output).
+    for any cache state, while these counters describe how the work was done
+    (and so legitimately vary between configurations — they are deliberately
+    excluded from the graph's table/DOT/JSON output).
     """
 
     pairs: int = 0
-    jobs: int = 1
+    #: Always ``1 if pairs else 0``: every pair runs in one in-process loop.
+    #: Kept because the benchmark reports it as ``depgraph.pool_batches``.
     batches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -118,7 +119,7 @@ class GraphPerf:
             f"{name}={count}" for name, count in sorted(self.verdicts.items())
         )
         return (
-            f"pairs={self.pairs} jobs={self.jobs} batches={self.batches} "
+            f"pairs={self.pairs} batches={self.batches} "
             f"cache hit/miss={self.cache_hits}/{self.cache_misses} "
             f"degraded={self.degraded_pairs} "
             f"wall={self.wall_seconds:.3f}s [{cascade}]"
@@ -217,11 +218,12 @@ class DependenceGraph:
 class EdgeSpec:
     """A dependence edge described without its :class:`RefContext` endpoints.
 
-    Pair evaluation may happen in a pool worker, whose unpickled program
-    holds *copies* of the parent's IR nodes; edges therefore travel back as
-    specs and the parent rebuilds :class:`Dependence` objects against its
-    own reference contexts, keeping the merged graph byte-identical to a
-    serial build.  ``source_first`` orients the edge within its pair.
+    A :class:`PairOutcome` may be replayed by the daemon's outcome cache in
+    a later build, whose IR nodes are not the ones the outcome was computed
+    against; edges therefore live as specs and each build rebuilds
+    :class:`Dependence` objects against its own reference contexts, keeping
+    a replayed graph byte-identical to a fresh one.  ``source_first`` orients
+    the edge within its pair.
     """
 
     source_first: bool
@@ -265,9 +267,8 @@ def reference_pairs(
 ) -> list[tuple[RefContext, RefContext]]:
     """The deterministic pair worklist for a (normalized) program.
 
-    Shared by the serial loop, the pool workers (which re-derive the same
-    list from the unpickled program) and :func:`conservative_graph`, so a
-    pair's index means the same thing everywhere.
+    Shared by the pair loop and :func:`conservative_graph`, so a pair's
+    index means the same thing everywhere.
     """
     by_array: dict[str, list[RefContext]] = {}
     for ref in collect_refs(program):
@@ -403,7 +404,6 @@ def analyze_dependences(
     derive_bounds: bool = True,
     strict: bool = False,
     pair_budget: int | None = DEFAULT_PAIR_BUDGET,
-    jobs: int = 1,
     use_cache: bool = True,
     cache: ProblemCache | None = None,
     cache_dir: str | None = None,
@@ -432,12 +432,8 @@ def analyze_dependences(
     still degrades: giving up is a designed outcome).
 
     Performance knobs (none of which may change the resulting graph —
-    ``tests/depgraph/test_parallel.py`` holds all of them to byte-identity):
+    ``tests/core/test_cache.py`` holds them to byte-identity):
 
-    * ``jobs`` — evaluate pairs on a :class:`ProcessPoolExecutor` with that
-      many workers; pairs are sharded into deterministic batches and merged
-      in pair order.  A crashed worker degrades only its batch to assumed
-      RS001 edges (re-raised under ``strict``).
     * ``use_cache`` / ``cache`` — memoize verdicts on the canonical-problem
       cache (:mod:`repro.core.cache`); the process-wide default cache unless
       an explicit :class:`ProblemCache` is given.  ``use_cache=False``
@@ -445,7 +441,7 @@ def analyze_dependences(
     * ``cache_dir`` — warm the cache from (and persist it to) an on-disk
       pickle keyed by the deptest schema hash.
 
-    Server extensions (both force the serial path):
+    Server extensions:
 
     * ``outcome_cache`` — an object with ``lookup(fingerprint, index)`` and
       ``store(fingerprint, outcome)`` (see
@@ -478,83 +474,54 @@ def analyze_dependences(
     if problem_cache is not None and cache_dir is not None:
         problem_cache.load_disk(cache_dir)
 
-    serial = jobs <= 1 or len(pairs) <= 1
-    if outcome_cache is not None or deadline is not None:
-        # Outcome replay and deadline enforcement are request-scoped server
-        # features; the daemon's workers analyze serially (jobs=1), so the
-        # parallel sharding never needs to thread them through.
-        serial = True
-        jobs = 1
-    perf = GraphPerf(pairs=len(pairs), jobs=max(1, jobs))
-    if not serial:
-        from .parallel import evaluate_pairs_parallel
-
-        outcomes, perf.batches = evaluate_pairs_parallel(
-            analyzed,
-            pairs,
-            bounds,
-            assumptions,
-            order,
-            jobs=jobs,
+    perf = GraphPerf(pairs=len(pairs), batches=1 if pairs else 0)
+    fingerprints: list[str] | None = None
+    if outcome_cache is not None and active_state() is None:
+        assumptions_fp = assumptions_fingerprint(assumptions)
+        bounds_fp = bounds_fingerprint(bounds)
+        options = analysis_options_token(
             include_input=include_input,
             audit=audit,
             derive_bounds=derive_bounds,
             pair_budget=pair_budget,
             strict=strict,
-            cache=problem_cache,
-            cache_dir=cache_dir,
         )
-    else:
-        fingerprints: list[str] | None = None
-        if outcome_cache is not None and active_state() is None:
-            assumptions_fp = assumptions_fingerprint(assumptions)
-            bounds_fp = bounds_fingerprint(bounds)
-            options = analysis_options_token(
-                include_input=include_input,
-                audit=audit,
-                derive_bounds=derive_bounds,
-                pair_budget=pair_budget,
-                strict=strict,
-            )
-            fingerprints = [
-                pair_fingerprint(
-                    first,
-                    second,
-                    order,
-                    bounds_fp=bounds_fp,
-                    assumptions_fp=assumptions_fp,
-                    options=options,
-                )
-                for first, second in pairs
-            ]
-        outcomes = []
-        for index, (first, second) in enumerate(pairs):
-            fingerprint = (
-                fingerprints[index] if fingerprints is not None else None
-            )
-            if fingerprint is not None:
-                replayed = outcome_cache.lookup(fingerprint, index)
-                if replayed is not None:
-                    outcomes.append(replayed)
-                    continue
-            outcome = evaluate_pair(
-                index,
+        fingerprints = [
+            pair_fingerprint(
                 first,
                 second,
-                bounds,
-                assumptions,
                 order,
-                audit=audit,
-                derive_bounds=derive_bounds,
-                pair_budget=pair_budget,
-                strict=strict,
-                cache=problem_cache,
-                deadline=deadline,
+                bounds_fp=bounds_fp,
+                assumptions_fp=assumptions_fp,
+                options=options,
             )
-            if fingerprint is not None:
-                outcome_cache.store(fingerprint, outcome)
-            outcomes.append(outcome)
-        perf.batches = 1 if pairs else 0
+            for first, second in pairs
+        ]
+    outcomes = []
+    for index, (first, second) in enumerate(pairs):
+        fingerprint = fingerprints[index] if fingerprints is not None else None
+        if fingerprint is not None:
+            replayed = outcome_cache.lookup(fingerprint, index)
+            if replayed is not None:
+                outcomes.append(replayed)
+                continue
+        outcome = evaluate_pair(
+            index,
+            first,
+            second,
+            bounds,
+            assumptions,
+            order,
+            audit=audit,
+            derive_bounds=derive_bounds,
+            pair_budget=pair_budget,
+            strict=strict,
+            cache=problem_cache,
+            deadline=deadline,
+        )
+        if fingerprint is not None:
+            outcome_cache.store(fingerprint, outcome)
+        outcomes.append(outcome)
 
     degradations: list[Diagnostic] = []
     for outcome, (first, second) in zip(outcomes, pairs):

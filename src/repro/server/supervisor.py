@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from ..core.chaos import ChaosError, chaos_point
 from .worker import WorkerWorldview, worker_main
 
-#: Worker processes are forked, matching the existing pool in
-#: ``depgraph/parallel.py``; a worker runs only the recv/execute/send loop,
-#: so the fork inherits no daemon thread state it could trip over.
+#: Worker processes are forked; a worker runs only the recv/execute/send
+#: loop, so the fork inherits no daemon thread state it could trip over.
 _MP_CONTEXT = multiprocessing.get_context("fork")
 
 

@@ -121,7 +121,6 @@ def _run_lint(job: dict, config: WorkerWorldview, chaos_active: bool) -> dict:
         ranges=job.get("ranges", True),
         schedule=job.get("schedule", False),
         strict=config.strict,
-        jobs=1,
         use_cache=True,
         cache_dir=config.cache_dir,
         outcome_cache=outcome_cache,

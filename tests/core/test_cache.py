@@ -1,6 +1,9 @@
-"""The problem cache: LRU behaviour, persistence, and its safety bypasses."""
+"""The problem cache: LRU behaviour, persistence, its safety bypasses, and
+byte-identical dependence graphs with the cache on, off, cold or warm."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -17,6 +20,8 @@ from repro.core.cache import (
 from repro.core.canon import canonicalize, result_to_outcome
 from repro.core.chaos import chaos
 from repro.core.resilience import Budget, BudgetExhausted
+from repro.depgraph import analyze_dependences
+from repro.frontend import parse_fortran
 from repro.symbolic.poly import _poly_gcd_cached, poly_gcd
 
 from .test_canon import result_tuple, two_level
@@ -69,20 +74,20 @@ class TestLRU:
         with pytest.raises(ValueError):
             ProblemCache(maxsize=0)
 
-    def test_take_fresh_drains(self):
-        cache = ProblemCache()
-        key, outcome = entry_for(two_level(const=7))
-        cache.store(key, outcome)
-        assert cache.take_fresh() == {key: outcome}
-        assert cache.take_fresh() == {}
-        assert len(cache) == 1  # draining does not forget the entry
-
-    def test_merge_adopts_worker_entries(self):
-        a, b = ProblemCache(), ProblemCache()
-        key, outcome = entry_for(two_level(const=7))
-        a.store(key, outcome)
-        b.merge(a.take_fresh())
-        assert b.lookup(key) == outcome
+    def test_evicted_entries_are_released(self):
+        # maxsize must bound memory, not just lookups: once evicted, an
+        # entry is referenced by nothing the cache owns.
+        cache = ProblemCache(maxsize=2)
+        first = None
+        for const in range(1, 6):
+            key, outcome = entry_for(two_level(const=const))
+            cache.store(key, outcome)
+            if first is None:
+                first = weakref.ref(outcome)
+        del key, outcome
+        gc.collect()
+        assert cache.stats.evictions == 3
+        assert first() is None
 
 
 class TestClearAll:
@@ -259,3 +264,67 @@ class TestBypasses:
         warm = cached_delinearize(problem, cache=cache, budget=Budget(steps=1))
         assert cache.stats.hits == 1
         assert result_tuple(warm) == result_tuple(fresh)
+
+
+FIGURE3 = """
+REAL X(200), Y(200), B(100)
+REAL A(100,100), C(100,100)
+DO 30 i = 1, 100
+X(i) = Y(i) + 10
+DO 20 j = 1, 99
+B(j) = A(j,20)
+DO 10 k = 1, 100
+A(j+1,k) = B(j) + C(j,k)
+10 CONTINUE
+Y(i+j) = A(j+1,20)
+20 CONTINUE
+30 CONTINUE
+"""
+
+
+def fingerprint(graph):
+    """Everything observable about a graph, rendered deterministically."""
+    return (
+        graph.format_table(),
+        [str(e) for e in graph.edges],
+        [str(d) for d in graph.degradations],
+        [str(d) for d in graph.audit_diagnostics],
+    )
+
+
+class TestGraphByteIdentity:
+    """The cache is invisible: a graph is the same, byte for byte, with the
+    cache on or off, cold or warm, in memory or on disk."""
+
+    def test_cache_off_matches_cache_on(self):
+        with_cache = analyze_dependences(
+            parse_fortran(FIGURE3), audit=True, cache=ProblemCache()
+        )
+        without = analyze_dependences(
+            parse_fortran(FIGURE3), audit=True, use_cache=False
+        )
+        assert fingerprint(with_cache) == fingerprint(without)
+
+    def test_warm_cache_matches_cold(self):
+        # audit=False: the auditor needs the Figure-5 trace, which replaying
+        # a cached outcome cannot provide, so audit runs bypass the cache.
+        cache = ProblemCache()
+        program = parse_fortran(FIGURE3)
+        cold = analyze_dependences(program, cache=cache)
+        warm = analyze_dependences(program, cache=cache)
+        assert fingerprint(cold) == fingerprint(warm)
+        assert warm.perf.cache_misses == 0
+        # Every cacheable pair hits the second time — including pairs that
+        # already hit intra-run the first time (shared canonical shapes).
+        assert warm.perf.cache_hits == cold.perf.cache_hits + cold.perf.cache_misses
+
+    def test_persistent_dir_warms_a_fresh_cache(self, tmp_path):
+        program = parse_fortran(FIGURE3)
+        first = analyze_dependences(
+            program, cache=ProblemCache(), cache_dir=tmp_path
+        )
+        second = analyze_dependences(
+            program, cache=ProblemCache(), cache_dir=tmp_path
+        )
+        assert fingerprint(first) == fingerprint(second)
+        assert second.perf.cache_misses == 0

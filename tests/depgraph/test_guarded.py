@@ -143,37 +143,6 @@ class TestCallEdges:
         assert any(d.code == "RS003" for d in graph.alias_diagnostics)
 
 
-class TestDeterminism:
-    def test_jobs_invariant_with_control_flow(self):
-        source = (
-            "REAL A(0:99), B(0:99)\n"
-            "DO 1 I = 0, 98\n"
-            "IF (I < 50) THEN\n"
-            "A(I) = A(I+1) + 1\n"
-            "ELSE\n"
-            "B(I) = B(I+2)\n"
-            "ENDIF\n"
-            "CALL UPD(B, A, I)\n"
-            "1 CONTINUE\n"
-            "END\n"
-            "SUBROUTINE UPD(X, Y, J)\n"
-            "REAL X(0:99), Y(0:99)\nINTEGER J\n"
-            "X(J) = Y(J) * 2\n"
-            "END\n"
-        )
-
-        def fingerprint(jobs):
-            graph = analyze_dependences(parse_fortran(source), jobs=jobs)
-            return (
-                graph.format_table(),
-                [str(e) for e in graph.edges],
-                [str(d) for d in graph.alias_diagnostics],
-                [str(d) for d in control_diagnostics(graph)],
-            )
-
-        assert fingerprint(1) == fingerprint(2)
-
-
 class TestCacheSchema:
     def test_verdict_defining_modules_hashed(self):
         assert "repro.analysis.interproc" in _SCHEMA_MODULES

@@ -392,11 +392,11 @@ class TestRiceps:
 class TestPerfFlags:
     """--jobs/--no-cache/--cache-dir never change output; --perf is stderr."""
 
-    def test_jobs2_output_is_byte_identical(self, fortran_file, capsys):
-        assert main(["analyze", str(fortran_file)]) == 0
-        serial = capsys.readouterr().out
-        assert main(["analyze", str(fortran_file), "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+    def test_jobs_is_lint_only(self, fortran_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(fortran_file), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_no_cache_output_is_byte_identical(self, fortran_file, capsys):
         assert main(["analyze", str(fortran_file)]) == 0

@@ -1,6 +1,8 @@
 """Tests for the end-to-end compilation driver."""
 
 from repro.driver import analyzed_source, compile_c, compile_fortran
+from repro.lint.diagnostics import render_json
+from repro.lint.engine import lint_source
 
 
 class TestFortranPipeline:
@@ -85,3 +87,29 @@ class TestCPipeline:
         )
         assert "pointer-conversion" not in report.phases
         assert report.serial_statements == ["S1"]
+
+
+class TestIgnoredJobsKeyword:
+    """``jobs=`` is accepted and ignored by the two entry points the
+    committed benchmark calls with it; the output is the default call's."""
+
+    SOURCE = """
+REAL D(0:99)
+DO 1 i = 0, 8
+DO 1 j = 0, 8
+1 D(i+10*j+1) = D(i+10*j)
+"""
+
+    def test_compile_fortran(self):
+        default = compile_fortran(self.SOURCE)
+        pooled = compile_fortran(self.SOURCE, jobs=2)
+        assert pooled.output == default.output
+        assert pooled.summary() == default.summary()
+        assert pooled.graph.format_table() == default.graph.format_table()
+
+    def test_lint_source(self):
+        default = lint_source(self.SOURCE, schedule=True)
+        pooled = lint_source(self.SOURCE, schedule=True, jobs=2)
+        assert render_json(pooled.diagnostics) == render_json(
+            default.diagnostics
+        )
