@@ -37,10 +37,19 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.gate import (  # noqa: E402
+    TOLERANCE,
+    baseline_ratios,
+    best_of,
+    report,
+    speedup_failures,
+)
 
 from repro.analysis import normalize_program  # noqa: E402
 from repro.core import delinearize  # noqa: E402
@@ -49,10 +58,6 @@ from repro.depgraph import analyze_dependences, reference_pairs  # noqa: E402
 from repro.deptests import BoundedVar, DependenceProblem  # noqa: E402
 from repro.frontend import parse_fortran  # noqa: E402
 from repro.symbolic import LinExpr  # noqa: E402
-
-#: Regression tolerance for --check: a ratio may be up to 25% worse than
-#: the recorded baseline before the gate fails.
-TOLERANCE = 0.25
 
 
 def corpus_source(statements: int) -> str:
@@ -107,16 +112,6 @@ def solver_problems(shapes: int, copies: int) -> list[DependenceProblem]:
                 DependenceProblem([eq], variables, common_levels=3)
             )
     return problems
-
-
-def best_of(repeats: int, run) -> float:
-    return min(timed(run) for _ in range(repeats))
-
-
-def timed(run) -> float:
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
 
 
 def bench(quick: bool, repeats: int, cache_dir: str | None) -> dict:
@@ -217,32 +212,18 @@ def report_targets(result: dict) -> None:
 
 def check_against(result: dict, baseline_path: str) -> int:
     """The CI regression gate: ratios may not be >25% worse than baseline."""
-    baseline = json.loads(Path(baseline_path).read_text())
-    base_ratios = baseline["ratios"]
+    base_ratios = baseline_ratios(baseline_path)
     ratios = result["ratios"]
-    failures = []
-
-    # Higher is better; regression = dropping below 75% of baseline.
-    for key in ("warm_speedup", "solver_warm_speedup"):
-        floor = base_ratios[key] * (1 - TOLERANCE)
-        if ratios[key] < floor:
-            failures.append(
-                f"{key}: {ratios[key]:.2f}x < {floor:.2f}x "
-                f"(baseline {base_ratios[key]:.2f}x - {TOLERANCE:.0%})"
-            )
+    failures = speedup_failures(
+        ratios, base_ratios, ("warm_speedup", "solver_warm_speedup")
+    )
     # Lower is better; regression = 25 points of extra overhead.
     ceiling = base_ratios["cold_overhead"] + TOLERANCE
     if ratios["cold_overhead"] > ceiling:
         failures.append(
             f"cold_overhead: {ratios['cold_overhead']:+.1%} > {ceiling:+.1%}"
         )
-    if failures:
-        print("REGRESSION vs", baseline_path)
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print(f"ok: within {TOLERANCE:.0%} of {baseline_path}")
-    return 0
+    return report(failures, baseline_path)
 
 
 def main(argv: list[str] | None = None) -> int:

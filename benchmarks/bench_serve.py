@@ -39,12 +39,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
+from benchmarks.gate import (  # noqa: E402
+    baseline_ratios,
+    best_of,
+    report,
+    speedup_failures,
+)
 from repro.server.client import ServeClient  # noqa: E402
-
-#: Regression tolerance for --check: a speedup may be up to 25% worse than
-#: the recorded baseline before the gate fails.
-TOLERANCE = 0.25
 
 
 def corpus_source(statements: int) -> str:
@@ -67,16 +70,6 @@ def cli_env() -> dict:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return env
-
-
-def best_of(repeats: int, run) -> float:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
 
 
 def bench(quick: bool, repeats: int) -> dict:
@@ -184,26 +177,14 @@ def report_targets(result: dict) -> None:
 
 def check_against(result: dict, baseline_path: str) -> int:
     """The CI regression gate: speedups may not be >25% worse than baseline."""
-    baseline = json.loads(Path(baseline_path).read_text())
-    base_ratios = baseline["ratios"]
-    ratios = result["ratios"]
-    failures = []
-    for key in ("edit_speedup", "repeat_speedup"):
-        floor = base_ratios[key] * (1 - TOLERANCE)
-        if ratios[key] < floor:
-            failures.append(
-                f"{key}: {ratios[key]:.2f}x < {floor:.2f}x "
-                f"(baseline {base_ratios[key]:.2f}x - {TOLERANCE:.0%})"
-            )
+    failures = speedup_failures(
+        result["ratios"],
+        baseline_ratios(baseline_path),
+        ("edit_speedup", "repeat_speedup"),
+    )
     if result["counters"].get("replayed_pairs", 0) == 0:
         failures.append("replayed_pairs: incremental replay never fired")
-    if failures:
-        print("REGRESSION vs", baseline_path)
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print(f"ok: within {TOLERANCE:.0%} of {baseline_path}")
-    return 0
+    return report(failures, baseline_path)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -59,9 +59,6 @@ class StorageLayout:
             total = fold(BinOp("*", total, extent))
         return total
 
-    def size_poly(self) -> Poly | None:
-        return to_poly(self.size())
-
     def offset(self, subscripts: tuple[Expr, ...]) -> Expr:
         """The storage offset expression of a reference."""
         if len(subscripts) != self.rank:
@@ -116,7 +113,6 @@ def alias_groups(program: Program) -> list[set[str]]:
 def linearize_program(
     program: Program,
     arrays: set[str] | None = None,
-    storage_prefix: str = "_stor",
 ) -> Program:
     """Rewrite references to 1-D storage form.
 
@@ -130,7 +126,7 @@ def linearize_program(
     if arrays is None:
         for group in alias_groups(program):
             counter += 1
-            storage = f"{storage_prefix}{counter}"
+            storage = f"_stor{counter}"
             size = _group_size(program, group)
             storages[storage] = ArrayDecl(
                 storage, (ArrayDim(IntLit(0), fold(BinOp("-", size, IntLit(1)))),)
@@ -140,7 +136,7 @@ def linearize_program(
     else:
         for name in sorted(arrays):
             counter += 1
-            storage = f"{storage_prefix}{counter}"
+            storage = f"_stor{counter}"
             decl = program.array(name)
             if decl is None:
                 raise LinearizationError(f"unknown array {name}")
@@ -179,9 +175,7 @@ def linearize_program(
     return rewritten
 
 
-def partially_linearize(
-    program: Program, array: str, ndims: int, storage_name: str | None = None
-) -> Program:
+def partially_linearize(program: Program, array: str, ndims: int) -> Program:
     """Linearize the first ``ndims`` dimensions of one array.
 
     ``A(s1, ..., sk, rest...)`` becomes
@@ -199,7 +193,7 @@ def partially_linearize(
     prefix_layout = layout_of(
         ArrayDecl(decl.name, decl.dims[:ndims], decl.elem_type)
     )
-    new_name = storage_name or f"{array}_lin"
+    new_name = f"{array}_lin"
     new_dims = (
         ArrayDim(
             IntLit(0), fold(BinOp("-", prefix_layout.size(), IntLit(1)))
@@ -224,9 +218,7 @@ def partially_linearize(
     return rewritten
 
 
-def linearize_common(
-    program: Program, block: str | None = None, storage_prefix: str = "_common"
-) -> Program:
+def linearize_common(program: Program, block: str | None = None) -> Program:
     """Rewrite COMMON-block member references onto the block's storage.
 
     FORTRAN storage association lays the members of a COMMON block out
@@ -252,7 +244,7 @@ def linearize_common(
     mapping: dict[str, tuple[str, Expr, StorageLayout | None]] = {}
     storages: dict[str, ArrayDecl] = {}
     for block_name, members in merged.items():
-        storage = f"{storage_prefix}_{block_name or 'blank'}"
+        storage = f"_common_{block_name or 'blank'}"
         base: Expr = IntLit(0)
         for member in members:
             decl = program.array(member)

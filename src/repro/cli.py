@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--perf",
         action="store_true",
-        help="also print phase timings and cache/parallelism counters",
+        help="also print phase timings and cache counters",
     )
     analyze.set_defaults(handler=_cmd_analyze)
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     vectorize.add_argument(
         "--perf",
         action="store_true",
-        help="also print phase timings and cache/parallelism counters",
+        help="also print phase timings and cache counters",
     )
     vectorize.add_argument(
         "--emit",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Callable
 
 from ..dirvec.vectors import DirVec, DistanceElem, DistanceVec, merge_direction_sets
 from ..symbolic import Assumptions, LinExpr, Poly, poly_gcd_many
@@ -43,8 +42,6 @@ from ..deptests.problem import DependenceProblem, Verdict
 from .chaos import chaos_point
 from .groups import GroupSolution, solve_group
 from .resilience import Budget
-
-GroupSolver = Callable[[LinExpr, DependenceProblem], GroupSolution]
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,6 @@ class DelinearizationResult:
 def delinearize(
     problem: DependenceProblem,
     sort_coefficients: bool = True,
-    group_solver: GroupSolver | None = None,
     keep_trace: bool = False,
     use_fast_path: bool = True,
     budget: Budget | None = None,
@@ -127,18 +123,12 @@ def delinearize(
     every group is exactly solvable and solvable.
 
     A caller-supplied ``budget`` is charged per scan step and threaded into
-    the default group solver's concrete enumeration; exhaustion raises
+    the group solver's concrete enumeration; exhaustion raises
     :exc:`~repro.core.resilience.BudgetExhausted`, which the per-pair
     barrier in :mod:`repro.depgraph.builder` turns into a conservative
     assumed dependence.
     """
     chaos_point("delinearize.scan")
-    if group_solver is not None:
-        solver = group_solver
-    elif budget is not None:
-        solver = lambda eq, prob: solve_group(eq, prob, budget=budget)  # noqa: E731
-    else:
-        solver = solve_group
     combined = DelinearizationResult(
         verdict=Verdict.DEPENDENT,
         direction_vectors={DirVec.star(problem.common_levels)},
@@ -153,11 +143,11 @@ def delinearize(
             )
         ):
             result = _delinearize_equation_int(
-                equation, problem, sort_coefficients, solver, keep_trace, budget
+                equation, problem, sort_coefficients, keep_trace, budget
             )
         else:
             result = _delinearize_equation(
-                equation, problem, sort_coefficients, solver, keep_trace, budget
+                equation, problem, sort_coefficients, keep_trace, budget
             )
         combined.trace.extend(result.trace)
         combined.groups.extend(result.groups)
@@ -201,7 +191,6 @@ def _delinearize_equation(
     equation: LinExpr,
     problem: DependenceProblem,
     sort_coefficients: bool,
-    solver: GroupSolver,
     keep_trace: bool,
     budget: Budget | None = None,
 ) -> DelinearizationResult:
@@ -272,7 +261,7 @@ def _delinearize_equation(
                 {name: coeff for name, coeff, _ in group_vars}, r
             )
             if group_vars or not r.is_zero():
-                solution = solver(separated, problem)
+                solution = solve_group(separated, problem, budget=budget)
                 result.groups.append(solution)
                 result.dimensions_found += 1
                 if solution.verdict is Verdict.INDEPENDENT:
@@ -346,7 +335,6 @@ def _delinearize_equation_int(
     equation: LinExpr,
     problem: DependenceProblem,
     sort_coefficients: bool,
-    solver: GroupSolver,
     keep_trace: bool,
     budget: Budget | None = None,
 ) -> DelinearizationResult:
@@ -418,7 +406,7 @@ def _delinearize_equation_int(
                 {name: coeff for name, coeff, _ in group_vars}, r
             )
             if group_vars or r != 0:
-                solution = solver(separated, problem)
+                solution = solve_group(separated, problem, budget=budget)
                 result.groups.append(solution)
                 result.dimensions_found += 1
                 if solution.verdict is Verdict.INDEPENDENT:

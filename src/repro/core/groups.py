@@ -32,6 +32,10 @@ from ..deptests.problem import BoundedVar, DependenceProblem, Verdict
 from .chaos import chaos_point
 from .resilience import Budget
 
+#: Largest box (points) a separated concrete group is enumerated over
+#: (method 3); bigger groups fall back to GCD + Banerjee refinement.
+EXACT_LIMIT = 50_000
+
 
 @dataclass
 class GroupSolution:
@@ -50,7 +54,6 @@ class GroupSolution:
 def solve_group(
     equation: LinExpr,
     problem: DependenceProblem,
-    exact_limit: int = 50_000,
     budget: Budget | None = None,
 ) -> GroupSolution:
     """Solve one separated equation in the context of ``problem``.
@@ -92,7 +95,7 @@ def solve_group(
     if single is not None:
         return single
 
-    concrete = _solvable_concretely(equation, problem, exact_limit, budget)
+    concrete = _solvable_concretely(equation, problem, budget)
     if concrete is not None:
         return concrete
 
@@ -323,7 +326,6 @@ def _match_uniform_magnitude(
 def _solvable_concretely(
     equation: LinExpr,
     problem: DependenceProblem,
-    exact_limit: int,
     budget: Budget | None = None,
 ) -> GroupSolution | None:
     names = sorted(equation.variables())
@@ -335,7 +337,7 @@ def _solvable_concretely(
     size = 1
     for var in sub_vars:
         size *= max(var.upper.as_int() + 1, 0)
-    if size > exact_limit or size == 0:
+    if size > EXACT_LIMIT or size == 0:
         if size == 0:
             return GroupSolution(equation, Verdict.INDEPENDENT, None, method="enum")
         return None

@@ -119,7 +119,7 @@ class GraphPerf:
             f"{name}={count}" for name, count in sorted(self.verdicts.items())
         )
         return (
-            f"pairs={self.pairs} batches={self.batches} "
+            f"pairs={self.pairs} "
             f"cache hit/miss={self.cache_hits}/{self.cache_misses} "
             f"degraded={self.degraded_pairs} "
             f"wall={self.wall_seconds:.3f}s [{cascade}]"
@@ -245,7 +245,6 @@ class EdgeSpec:
 class PairOutcome:
     """Everything one pair evaluation produced, in picklable form."""
 
-    index: int
     edges: list[EdgeSpec] = field(default_factory=list)
     degradations: list[Diagnostic] = field(default_factory=list)
     audit: list[Diagnostic] = field(default_factory=list)
@@ -443,7 +442,7 @@ def analyze_dependences(
 
     Server extensions:
 
-    * ``outcome_cache`` — an object with ``lookup(fingerprint, index)`` and
+    * ``outcome_cache`` — an object with ``lookup(fingerprint)`` and
       ``store(fingerprint, outcome)`` (see
       :class:`repro.server.incremental.OutcomeCache`): whole
       :class:`PairOutcome` objects are replayed for pairs whose
@@ -501,12 +500,11 @@ def analyze_dependences(
     for index, (first, second) in enumerate(pairs):
         fingerprint = fingerprints[index] if fingerprints is not None else None
         if fingerprint is not None:
-            replayed = outcome_cache.lookup(fingerprint, index)
+            replayed = outcome_cache.lookup(fingerprint)
             if replayed is not None:
                 outcomes.append(replayed)
                 continue
         outcome = evaluate_pair(
-            index,
             first,
             second,
             bounds,
@@ -549,7 +547,6 @@ def analyze_dependences(
 
 
 def evaluate_pair(
-    index: int,
     first: RefContext,
     second: RefContext,
     bounds: dict[str, Poly],
@@ -578,7 +575,7 @@ def evaluate_pair(
     """
     from ..lint import codes
 
-    outcome = PairOutcome(index=index)
+    outcome = PairOutcome()
     barrier = Barrier(strict=strict)
     label = (
         f"{first.stmt.label}:{first.ref.array} / "

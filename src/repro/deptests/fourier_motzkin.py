@@ -13,7 +13,7 @@ only over the integers and is exactly the step the paper credits with making
 FM able to return "independent" on equation (1).
 
 Cost control: elimination can square the constraint count, so the routine
-gives up (MAYBE) beyond ``max_constraints``.
+gives up (MAYBE) beyond :data:`MAX_CONSTRAINTS`.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from .problem import DependenceProblem, Verdict
 #: One inequality: (coeffs, c) meaning sum(coeffs[v] * v) <= c.
 Inequality = tuple[tuple[tuple[str, int], ...], int]
 
+#: Constraint count past which an elimination step answers MAYBE.
+MAX_CONSTRAINTS = 20_000
+
 
 def fourier_motzkin_test(
     problem: DependenceProblem,
     tighten: bool = False,
-    max_constraints: int = 20000,
 ) -> Verdict:
     """Eliminate all variables; INDEPENDENT on derived contradiction."""
     if not problem.is_concrete():
@@ -61,7 +63,7 @@ def fourier_motzkin_test(
         variable = _cheapest_variable(system, remaining)
         remaining.discard(variable)
         lowers, uppers, others = _partition(system, variable)
-        if len(lowers) * len(uppers) + len(others) > max_constraints:
+        if len(lowers) * len(uppers) + len(others) > MAX_CONSTRAINTS:
             return Verdict.MAYBE
         system = set(others)
         for lower in lowers:

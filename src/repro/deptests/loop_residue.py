@@ -93,25 +93,33 @@ def shostak_test(
     """Real feasibility for <=2-variable constraints via residue closure.
 
     The saturation loop is metered on ``budget`` (default: a fresh budget
-    of ``_MAX_DERIVED`` steps, one per derived residue); exhaustion answers
-    MAYBE, exactly as running into the old hard cap did.
+    of ``_MAX_DERIVED`` steps, one per pass and one per residue that adds or
+    tightens a constraint); exhaustion answers MAYBE.
     """
     chaos_point("deptest.shostak")
     if not problem.is_concrete():
         return Verdict.MAYBE
     if budget is None:
         budget = Budget(steps=_MAX_DERIVED, label="shostak saturation")
-    # Constraints: ({var: coeff}, c) meaning sum <= c.
-    constraints: set[tuple[tuple[tuple[str, Fraction], ...], Fraction]] = set()
+    # Constraints: normalized ((var, coeff), ...) -> c, meaning sum <= c.
+    # Only the tightest bound per coefficient vector is kept: a looser one
+    # is implied by it, and keeping both lets the saturation loop pile up
+    # ever looser copies and rescan them all on every pass.
+    constraints: dict[tuple[tuple[str, Fraction], ...], Fraction] = {}
+    updates = 0  # constraints added or tightened so far
 
     def add(coeffs: dict[str, Fraction], bound: Fraction) -> bool:
         """Add a normalized constraint; False signals a contradiction."""
+        nonlocal updates
         live = {n: c for n, c in coeffs.items() if c}
         if not live:
             return bound >= 0
         scale = abs(next(iter(sorted(live.values(), key=abs, reverse=True))))
         normalized = tuple(sorted((n, c / scale) for n, c in live.items()))
-        constraints.add((normalized, bound / scale))
+        bound = bound / scale
+        if normalized not in constraints or bound < constraints[normalized]:
+            constraints[normalized] = bound
+            updates += 1
         return True
 
     for eq in problem.equations:
@@ -131,12 +139,12 @@ def shostak_test(
             return Verdict.INDEPENDENT
 
     # Saturate: eliminate a shared variable between constraint pairs.
-    changed = True
-    while changed:
+    settled = -1
+    while updates != settled:
         if not budget.spend():
             return Verdict.MAYBE
-        changed = False
-        for first, second in combinations(list(constraints), 2):
+        settled = updates
+        for first, second in combinations(list(constraints.items()), 2):
             derived = _combine(first, second)
             if derived is None:
                 continue
@@ -145,13 +153,11 @@ def shostak_test(
                 if bound < 0:
                     return Verdict.INDEPENDENT
                 continue
-            before = len(constraints)
+            before = updates
             if not add(dict(coeffs), bound):
                 return Verdict.INDEPENDENT
-            if len(constraints) != before:
-                changed = True
-                if not budget.spend():
-                    return Verdict.MAYBE
+            if updates != before and not budget.spend():
+                return Verdict.MAYBE
     return Verdict.MAYBE
 
 

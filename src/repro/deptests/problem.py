@@ -115,9 +115,6 @@ class DependenceProblem:
             v.upper.is_constant() for v in self.variables.values()
         )
 
-    def var_names(self) -> list[str]:
-        return list(self.variables)
-
     def level_pair(self, level: int) -> tuple[BoundedVar, BoundedVar] | None:
         """The (side-0, side-1) variables of a common loop level."""
         first = second = None

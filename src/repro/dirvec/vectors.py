@@ -137,9 +137,6 @@ class DirVec(tuple):
         for combo in product(*(e.atoms() for e in self)):
             yield DirVec(combo)
 
-    def is_atomic(self) -> bool:
-        return all(e.mask in (LT, EQ, GT) for e in self)
-
     def contains(self, other: "DirVec") -> bool:
         return all(b in a for a, b in zip(self, other)) and len(self) == len(other)
 

@@ -202,7 +202,6 @@ def compile_fortran(
     source: str,
     assumptions: Assumptions | None = None,
     substitute_ivs: bool = True,
-    linearize_aliases: bool = True,
     audit: bool = False,
     derive_bounds: bool = True,
     verify: bool = True,
@@ -210,7 +209,6 @@ def compile_fortran(
     jobs: int = 1,
     use_cache: bool = True,
     cache_dir: str | None = None,
-    outcome_cache=None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Run the whole pipeline on FORTRAN source text.
@@ -251,7 +249,7 @@ def compile_fortran(
         if rewritten is not program:
             phases.append("induction-variables")
         program = rewritten
-    if linearize_aliases and not barrier.failed_phases:
+    if not barrier.failed_phases:
         base = program
 
         def run_linearize() -> Program:
@@ -280,7 +278,6 @@ def compile_fortran(
         strict=strict,
         use_cache=use_cache,
         cache_dir=cache_dir,
-        outcome_cache=outcome_cache,
         deadline=deadline,
     )
 
@@ -294,7 +291,6 @@ def compile_c(
     strict: bool = False,
     use_cache: bool = True,
     cache_dir: str | None = None,
-    outcome_cache=None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Run the whole pipeline on C source text (see :func:`compile_fortran`
@@ -333,7 +329,6 @@ def compile_c(
         strict=strict,
         use_cache=use_cache,
         cache_dir=cache_dir,
-        outcome_cache=outcome_cache,
         deadline=deadline,
     )
 
@@ -352,7 +347,6 @@ def _back_half(
     strict: bool,
     use_cache: bool = True,
     cache_dir: str | None = None,
-    outcome_cache=None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Dependence analysis through emission, each phase barriered.
@@ -386,7 +380,6 @@ def _back_half(
                 strict=strict,
                 use_cache=use_cache,
                 cache_dir=cache_dir,
-                outcome_cache=outcome_cache,
                 deadline=deadline,
             ),
             lambda: conservative_graph(program),

@@ -124,21 +124,6 @@ def simplify_deep(expr: Expr) -> Expr:
     return expr
 
 
-def linexpr_to_expr(lowered) -> Expr:
-    """Render a LinExpr back into an IR expression."""
-    result: Expr | None = None
-    for name in sorted(lowered.coeffs):
-        coeff = lowered.coeffs[name]
-        term = _scale(Name(name), coeff)
-        result = term if result is None else _add(result, term)
-    const = lowered.const
-    if result is None:
-        return poly_to_expr(const)
-    if not const.is_zero():
-        result = _add(result, poly_to_expr(const))
-    return fold(result)
-
-
 def poly_to_expr(poly) -> Expr:
     """Render a Poly back into an IR expression."""
     result: Expr | None = None
@@ -154,17 +139,6 @@ def poly_to_expr(poly) -> Expr:
             term = BinOp("*", IntLit(coeff), term)
         result = term if result is None else _add(result, term)
     return result if result is not None else IntLit(0)
-
-
-def _scale(expr: Expr, coeff) -> Expr:
-    if coeff.is_constant():
-        value = coeff.as_int()
-        if value == 1:
-            return expr
-        if value == -1:
-            return UnaryOp("-", expr)
-        return BinOp("*", IntLit(value), expr)
-    return BinOp("*", poly_to_expr(coeff), expr)
 
 
 def _add(left: Expr, right: Expr) -> Expr:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .expr import ArrayRef, Expr, IntLit, Name
+from .expr import ArrayRef, Expr, IntLit
 from .span import Span
 
 
@@ -20,12 +20,6 @@ class ArrayDim:
 
     lower: Expr
     upper: Expr
-
-    @classmethod
-    def upto(cls, upper: "Expr | int") -> "ArrayDim":
-        """Dimension ``0:upper``."""
-        upper = IntLit(upper) if isinstance(upper, int) else upper
-        return cls(IntLit(0), upper)
 
     def __str__(self) -> str:
         return f"{self.lower}:{self.upper}"
@@ -249,11 +243,6 @@ class Program:
     commons: list[CommonBlock] = field(default_factory=list)
     subroutines: dict[str, Subroutine] = field(default_factory=dict)
 
-    def declare(self, decl: ArrayDecl) -> None:
-        if decl.name in self.decls:
-            raise ValueError(f"array {decl.name} declared twice")
-        self.decls[decl.name] = decl
-
     def array(self, name: str) -> ArrayDecl | None:
         return self.decls.get(name)
 
@@ -382,15 +371,3 @@ def common_loop_count(a: RefContext, b: RefContext) -> int:
         else:
             break
     return count
-
-
-def scalar_names_read(expr: Expr, declared_arrays: set[str]) -> set[str]:
-    """Scalar variable names read by an expression (excludes array names)."""
-    out = set()
-    for node in expr.walk():
-        if isinstance(node, Name):
-            out.add(node.name)
-        if isinstance(node, ArrayRef) and node.array not in declared_arrays:
-            # Undeclared array treated as unknown function of subscripts.
-            pass
-    return out

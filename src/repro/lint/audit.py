@@ -44,7 +44,7 @@ from ..symbolic import LinExpr, Poly
 from . import codes
 from .diagnostics import Diagnostic
 
-#: Default enumeration budget: audits stay exact but cheap.
+#: Enumeration budget (iteration-box points): audits stay exact but cheap.
 DEFAULT_EXHAUSTIVE_LIMIT = 20_000
 
 
@@ -53,17 +53,10 @@ def audit_problem(
     *,
     statement: str | None = None,
     span: Span | None = None,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> tuple[DelinearizationResult, list[Diagnostic]]:
     """Run delinearization with a trace and audit the outcome."""
     result = delinearize(problem, keep_trace=True)
-    diags = audit_result(
-        problem,
-        result,
-        statement=statement,
-        span=span,
-        exhaustive_limit=exhaustive_limit,
-    )
+    diags = audit_result(problem, result, statement=statement, span=span)
     return result, diags
 
 
@@ -73,7 +66,6 @@ def audit_result(
     *,
     statement: str | None = None,
     span: Span | None = None,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> list[Diagnostic]:
     """All soundness checks over one delinearization outcome.
 
@@ -103,13 +95,10 @@ def audit_result(
         )
         diags.extend(
             _audit_group_conservation(
-                equation, problem, rows, index, statement, span,
-                exhaustive_limit,
+                equation, problem, rows, index, statement, span
             )
         )
-    diags.extend(
-        _audit_verdict(problem, result, statement, span, exhaustive_limit)
-    )
+    diags.extend(_audit_verdict(problem, result, statement, span))
     return diags
 
 
@@ -240,7 +229,6 @@ def _audit_group_conservation(
     index: int,
     statement: str | None,
     span: Span | None,
-    exhaustive_limit: int,
 ) -> list[Diagnostic]:
     """Check the Cartesian-product claim by counting solutions.
 
@@ -269,7 +257,7 @@ def _audit_group_conservation(
     for v in equation.variables():
         upper = bounds[v].as_int()
         box *= max(upper + 1, 0)
-    if box > exhaustive_limit:
+    if box > DEFAULT_EXHAUSTIVE_LIMIT:
         return []
     equation_count = _count_zeros(equation, bounds)
     product = 1
@@ -325,7 +313,6 @@ def _audit_verdict(
     result: DelinearizationResult,
     statement: str | None,
     span: Span | None,
-    exhaustive_limit: int,
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
@@ -351,7 +338,7 @@ def _audit_verdict(
 
     small = (
         problem.is_concrete()
-        and problem.iteration_count() <= exhaustive_limit
+        and problem.iteration_count() <= DEFAULT_EXHAUSTIVE_LIMIT
     )
     if not small:
         return diags

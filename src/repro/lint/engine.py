@@ -34,7 +34,6 @@ from ..frontend.errors import ParseError, ParseErrorGroup
 from ..ir import Program
 from ..symbolic import Assumptions
 from . import codes
-from .audit import DEFAULT_EXHAUSTIVE_LIMIT
 from .dataflow import run_dataflow_checks
 from .diagnostics import Diagnostic, max_severity, sort_diagnostics
 from .ranges import (
@@ -80,7 +79,6 @@ def lint_source(
     language: str = "fortran",
     assumptions: Assumptions | None = None,
     audit: bool = True,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     ranges: bool = True,
     schedule: bool = False,
     strict: bool = False,
@@ -153,7 +151,7 @@ def lint_source(
     # mismatches) cannot be turned into well-formed dependence problems.
     if (audit or schedule) and max_severity(diags) != codes.ERROR:
         diags += _graph_passes(
-            normalized, assumptions, exhaustive_limit, report, ranges,
+            normalized, assumptions, report, ranges,
             audit, schedule, strict, use_cache, cache_dir,
             outcome_cache, deadline,
         )
@@ -180,7 +178,6 @@ def _parse_failure(errors: list[ParseError]) -> list[Diagnostic]:
 def _graph_passes(
     program: Program,
     assumptions: Assumptions | None,
-    exhaustive_limit: int,
     report: LintReport,
     derive_bounds: bool = True,
     audit: bool = True,

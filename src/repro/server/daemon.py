@@ -340,13 +340,11 @@ class AnalysisServer:
     def _handle_shutdown(self, request: protocol.Request, respond) -> None:
         self._shutting_down = True
         drained = self.drain(timeout=60.0)
-        respond(
-            protocol.render_response(
-                request.id,
-                {"ok": True, "drained": drained, "counters": self._snapshot()},
-            )
-        )
+        reply = {"ok": True, "drained": drained, "counters": self._snapshot()}
+        # Stop before replying: a client holding the reply may rely on the
+        # daemon having stopped.
         self._stop.set()
+        respond(protocol.render_response(request.id, reply))
 
     def _admit(self, request: protocol.Request, respond) -> None:
         """Admission control for the analysis queue."""

@@ -89,12 +89,11 @@ class OutcomeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, fingerprint: str, index: int) -> PairOutcome | None:
+    def lookup(self, fingerprint: str) -> PairOutcome | None:
         """A fresh replay of the stored outcome, or None on a miss.
 
-        The replay is a new object (with the caller's pair index) because
-        :class:`PairOutcome` is mutable and the stored entry must survive
-        the graph build unchanged.
+        The replay is a new object because :class:`PairOutcome` is mutable
+        and the stored entry must survive the graph build unchanged.
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
@@ -103,7 +102,6 @@ class OutcomeCache:
         self.stats.hits += 1
         self._touched[fingerprint] = entry
         return PairOutcome(
-            index=index,
             edges=list(entry.edges),
             degradations=list(entry.degradations),
             audit=list(entry.audit),

@@ -31,6 +31,9 @@ from .worker import WorkerWorldview, worker_main
 #: loop, so the fork inherits no daemon thread state it could trip over.
 _MP_CONTEXT = multiprocessing.get_context("fork")
 
+#: Seconds a worker gets to honour an exit message before it is killed.
+_EXIT_GRACE = 0.5
+
 
 @dataclass
 class RestartPolicy:
@@ -133,13 +136,13 @@ class WorkerHandle:
                     pass
                 return "died", None
 
-    def shutdown(self, grace: float = 0.5) -> None:
+    def shutdown(self) -> None:
         """Polite exit first, then the hammer."""
         try:
             self.conn.send({"kind": "exit"})
         except (BrokenPipeError, OSError):
             pass
-        self.process.join(grace)
+        self.process.join(_EXIT_GRACE)
         if self.process.is_alive():
             self.kill()
 

@@ -188,6 +188,5 @@ def _run_vectorize(job: dict, config: WorkerWorldview) -> dict:
         "pairs": 0 if perf is None else perf.pairs,
         "cacheHits": 0 if perf is None else perf.cache_hits,
         "cacheMisses": 0 if perf is None else perf.cache_misses,
-        "wallSeconds": report.perf.total_seconds,
     }
     return {"result": result, "stats": stats, "entries": None}

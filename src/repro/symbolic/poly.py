@@ -288,16 +288,6 @@ class Poly:
 
     # -- divisibility ----------------------------------------------------------
 
-    def divides_term(self, mono: Monomial, coeff: int) -> bool:
-        """True when single-term ``self`` divides the term ``coeff * mono``.
-
-        Only meaningful for single-term divisors; multi-term divisors raise.
-        """
-        if not self.is_single_term():
-            raise ValueError(f"divisor {self} is not a single term")
-        ((gmono, gcoeff),) = self._terms.items()
-        return coeff % gcoeff == 0 and _mono_divides(gmono, mono)
-
     def divmod_single(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Split ``self = q*divisor + r`` for a single-term ``divisor``.
 

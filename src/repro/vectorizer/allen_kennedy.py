@@ -50,10 +50,6 @@ class VectorLoop:
     serial_levels: tuple[int, ...]  # 1-based indices into ``loops``
     vector_levels: tuple[int, ...]
 
-    @property
-    def fully_vector(self) -> bool:
-        return not self.serial_levels
-
 
 @dataclass
 class VectorizationResult:

@@ -1,6 +1,8 @@
 """Budget regression: every bounded dependence test yields *unknown* at
 its limit — none of them may raise (exhaustive_test used to)."""
 
+import signal
+
 import pytest
 
 from repro.core.resilience import Budget
@@ -12,6 +14,8 @@ from repro.deptests import (
     shostak_test,
     simple_loop_residue_test,
 )
+from repro.deptests.problem import BoundedVar, DependenceProblem
+from repro.symbolic import LinExpr
 
 
 class TestUnknownAtLimitOne:
@@ -62,3 +66,30 @@ class TestSharedBudget:
     def test_omega_never_raises_at_any_limit(self, intro_equation, work_limit):
         verdict = omega_test(intro_equation, work_limit=work_limit)
         assert verdict in (Verdict.MAYBE, Verdict.INDEPENDENT)
+
+
+class TestShostakSaturationTerminates:
+    """Regression: the saturation loop kept every looser copy of a
+    constraint, so on this system it rescanned an ever-growing set for
+    minutes.  The real relaxation is feasible at (36/13, 15/13), so MAYBE is
+    the exact answer."""
+
+    def test_coupled_pair_answers_quickly(self):
+        z1, z2 = LinExpr.var("z1"), LinExpr.var("z2")
+        problem = DependenceProblem(
+            [4 * z1 - 7 * z2 - 3, z1 - 5 * z2 + 3],
+            [BoundedVar.make("z1", 4), BoundedVar.make("z2", 5)],
+        )
+
+        def too_slow(signum, frame):
+            raise TimeoutError("shostak_test did not finish within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            verdict = shostak_test(problem)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert verdict is Verdict.MAYBE
+        assert exhaustive_test(problem) is Verdict.INDEPENDENT

@@ -35,9 +35,18 @@ EQUATION1 = single(
 
 SHIFT = single({"i1": 1, "i2": -1}, -5, {"i1": 9, "i2": 9}, pairs=[("i1", "i2")])
 
+# Fully separated into two groups, dependent, and small enough (2,500 box
+# points) for the DS005 solution count to run; FIGURE5's box is too large.
+SEPARATED = single(
+    {"i1": 1, "i2": -1, "j1": 10, "j2": -10},
+    -10,
+    {"i1": 4, "i2": 4, "j1": 9, "j2": 9},
+    pairs=[("i1", "i2"), ("j1", "j2")],
+)
+
 
 class TestCleanAudits:
-    @pytest.mark.parametrize("problem", [FIGURE5, EQUATION1, SHIFT])
+    @pytest.mark.parametrize("problem", [FIGURE5, EQUATION1, SHIFT, SEPARATED])
     def test_no_findings_on_correct_results(self, problem):
         result, diags = audit_problem(problem)
         assert diags == []
@@ -112,6 +121,39 @@ class TestCorruptedTrace:
         diags = audit_result(FIGURE5, result)
         assert any(
             d.code == "DS001" and "does not match" in d.message for d in diags
+        )
+
+
+class TestGroupConservation:
+    """DS005: the separated groups must conserve the equation's solutions."""
+
+    def _audit_with_group_constants(self, mutate):
+        """Audit SEPARATED after replacing its two group constants ``c``
+        with ``mutate(c)``."""
+        result = delinearize(SEPARATED, keep_trace=True)
+        trace = result.trace
+        rows = [k for k, row in enumerate(trace) if row.separated is not None]
+        assert len(rows) == 2
+        constants = mutate([trace[k].separated.const for k in rows])
+        for k, const in zip(rows, constants):
+            group = trace[k].separated
+            trace[k] = replace(
+                trace[k], separated=LinExpr(dict(group.coeffs), const)
+            )
+        return audit_result(SEPARATED, result)
+
+    def test_group_constant_off_fires_ds005(self):
+        diags = self._audit_with_group_constants(lambda c: [c[0] + 1, c[1]])
+        assert any(
+            d.code == "DS005" and "group constants sum to" in d.message
+            for d in diags
+        )
+
+    def test_swapped_group_constants_fire_ds005(self):
+        diags = self._audit_with_group_constants(lambda c: [c[1], c[0]])
+        assert any(
+            d.code == "DS005" and "separated groups admit" in d.message
+            for d in diags
         )
 
 

@@ -21,8 +21,8 @@ TWO_ROUTINES = (
 )
 
 
-def clean_outcome(index=0, verdict="independent"):
-    return PairOutcome(index=index, verdict=verdict, reusable=True)
+def clean_outcome(verdict="independent"):
+    return PairOutcome(verdict=verdict, reusable=True)
 
 
 class TestSplitRoutines:
@@ -61,11 +61,10 @@ class TestDirtyRoutines:
 
 class TestOutcomeCache:
     def test_lookup_replays_a_fresh_object(self):
-        stored = clean_outcome(index=3)
+        stored = clean_outcome()
         cache = OutcomeCache({"fp": stored})
-        replay = cache.lookup("fp", index=9)
+        replay = cache.lookup("fp")
         assert replay is not stored
-        assert replay.index == 9
         assert replay.verdict == stored.verdict
         assert replay.reusable
         replay.edges.append("mutation")
@@ -74,20 +73,20 @@ class TestOutcomeCache:
 
     def test_miss_is_counted(self):
         cache = OutcomeCache()
-        assert cache.lookup("nope", index=0) is None
+        assert cache.lookup("nope") is None
         assert cache.stats.misses == 1
 
     def test_store_rejects_non_reusable_outcomes(self):
         cache = OutcomeCache()
-        cache.store("fp", PairOutcome(index=0, reusable=False))
+        cache.store("fp", PairOutcome(reusable=False))
         assert len(cache) == 0
         assert cache.stats.rejected == 1
         assert cache.export() == {}
 
     def test_export_is_exactly_the_touched_entries(self):
         cache = OutcomeCache({"old": clean_outcome(), "stale": clean_outcome()})
-        cache.lookup("old", index=0)
-        cache.store("new", clean_outcome(index=1))
+        cache.lookup("old")
+        cache.store("new", clean_outcome())
         exported = cache.export()
         # "stale" was never touched by this analysis: it is pruned by the
         # daemon's replace-with-export cycle.
