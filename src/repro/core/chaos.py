@@ -36,6 +36,7 @@ SITES: dict[str, str] = {
     "deptest.acyclic": "acyclic_test entry (deptests/acyclic.py)",
     "deptest.shostak": "shostak_test entry (deptests/loop_residue.py)",
     "deptest.residue": "simple_loop_residue_test entry (deptests/loop_residue.py)",
+    "audit.count": "solution_census entry (deptests/counting.py)",
     "theorem.condition": "condition_holds (core/theorem.py)",
     "delinearize.scan": "per-equation scan (core/delinearize.py)",
     "groups.solve": "solve_group entry (core/groups.py)",

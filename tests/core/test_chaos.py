@@ -31,6 +31,7 @@ from repro.deptests import (
     shostak_test,
     simple_loop_residue_test,
 )
+from repro.deptests.counting import solution_census
 from repro.driver import compile_fortran
 from repro.vectorizer import verify_schedule
 
@@ -182,6 +183,7 @@ def _site_trigger(site, intro_equation):
         "deptest.acyclic": lambda: acyclic_test(intro_equation),
         "deptest.shostak": lambda: shostak_test(intro_equation),
         "deptest.residue": lambda: simple_loop_residue_test(intro_equation),
+        "audit.count": lambda: solution_census(intro_equation),
         # The theorem/group sites need a linearized multi-dim pair to be
         # consulted at all; the EQUIVALENCE program guarantees that.
         "theorem.condition": lambda: compile_fortran(
