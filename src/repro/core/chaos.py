@@ -39,6 +39,7 @@ SITES: dict[str, str] = {
     "audit.count": "solution_census entry (deptests/counting.py)",
     "theorem.condition": "condition_holds (core/theorem.py)",
     "delinearize.scan": "per-equation scan (core/delinearize.py)",
+    "delinearize.split": "case split of the scan remainder (core/delinearize.py)",
     "groups.solve": "solve_group entry (core/groups.py)",
     "depgraph.pair": "per-pair analysis (depgraph/builder.py)",
     "vectorize.codegen": "vectorize entry (vectorizer/allen_kennedy.py)",

@@ -25,6 +25,7 @@ from repro.core.chaos import (
 )
 from repro.core.resilience import uncovered_edges
 from repro.deptests import (
+    DependenceProblem,
     acyclic_test,
     exhaustive_test,
     omega_test,
@@ -163,6 +164,17 @@ def _serve_one_lint():
     return responses
 
 
+def _linearized_3d():
+    """i1-i2 + 8(j1-j2) + 64(k1-k2) - 10 = 0 over 0..7: the scan splits."""
+    names = ("i1", "i2", "j1", "j2", "k1", "k2")
+    return DependenceProblem.single(
+        dict(zip(names, (1, -1, 8, -8, 64, -64))),
+        -10,
+        {name: 7 for name in names},
+        pairs=[("i1", "i2"), ("j1", "j2"), ("k1", "k2")],
+    )
+
+
 def _site_trigger(site, intro_equation):
     """An operation that reaches the given injection site."""
     import tempfile
@@ -190,6 +202,7 @@ def _site_trigger(site, intro_equation):
             SOURCES["equivalence-2d"], audit=True
         ),
         "delinearize.scan": lambda: delinearize(intro_equation),
+        "delinearize.split": lambda: delinearize(_linearized_3d()),
         "groups.solve": lambda: compile_fortran(
             SOURCES["equivalence-2d"], audit=True
         ),

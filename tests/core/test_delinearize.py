@@ -225,3 +225,41 @@ class TestMultiEquationSystems:
         assert result.verdict is Verdict.DEPENDENT
         # i1 - i2 + 1 = 0 gives beta - alpha = +1; the j equation gives -1.
         assert str(result.distance_direction_vector(2)) == "(+1, -1)"
+
+
+class TestCaseSplit:
+    """Where no barrier holds, the scan splits the remainder into cases."""
+
+    def test_three_levels_split_into_exact_cases(self):
+        names = ("i1", "i2", "j1", "j2", "k1", "k2")
+        problem = DependenceProblem.single(
+            dict(zip(names, (1, -1, 8, -8, 64, -64))),
+            -10,
+            {name: 7 for name in names},
+            pairs=[("i1", "i2"), ("j1", "j2"), ("k1", "k2")],
+        )
+        result = delinearize(problem, keep_trace=True)
+        assert result.verdict is Verdict.DEPENDENT
+        assert result.dimensions_found == 3
+        assert {str(v) for v in result.direction_vectors} == {
+            "(<, <, >)", "(<, >, =)", "(>, <, >)", "(>, >, =)"
+        }
+        assert result.distances == {}  # every level's distance varies
+        splits = [row for row in result.trace if row.cases]
+        assert [row.depth for row in splits] == [0, 1, 1]
+
+    def test_cases_left_to_refinement_keep_maybe(self):
+        """Each case's rest ``24x1 + 32a - 40x2 + c = 0`` has 41**3 points,
+        too many to enumerate, so refinement answers MAYBE: the union may
+        not claim DEPENDENT."""
+        problem = DependenceProblem.single(
+            {"i1": 1, "i2": -1, "x1": 24, "a": 32, "x2": -40},
+            -12,
+            {"i1": 7, "i2": 7, "x1": 40, "x2": 40, "a": 40},
+            pairs=[("i1", "i2"), ("x1", "x2")],
+        )
+        result = delinearize(problem, keep_trace=True)
+        assert [str(v) for row in result.trace for v in row.cases] == [
+            "-4", "4"
+        ]
+        assert result.verdict is Verdict.MAYBE

@@ -38,8 +38,10 @@ EQUATION1 = single(
 
 SHIFT = single({"i1": 1, "i2": -1}, -5, {"i1": 9, "i2": 9}, pairs=[("i1", "i2")])
 
-# i1-i2 + 8(j1-j2) + 64(k1-k2) - 10 = 0 over 8**6 = 262,144 box points: four
-# realized directions, all reported exactly (with verdict MAYBE).
+# i1-i2 + 8(j1-j2) + 64(k1-k2) - 10 = 0 over 8**6 = 262,144 box points: no
+# barrier after the i pair, so the scan splits into i1-i2 in {-6, 2} and
+# then j1-j2 in two values each; four realized directions, all reported
+# exactly, verdict DEPENDENT.
 THREE_LEVEL = single(
     {"i1": 1, "i2": -1, "j1": 8, "j2": -8, "k1": 64, "k2": -64},
     -10,
@@ -181,6 +183,105 @@ class TestGroupConservation:
             d.code == "DS005" and "separated groups admit 0" in d.message
             for d in diags
         )
+
+
+class TestSplitAudit:
+    """DS001 re-derives every split's cases and replays each case; DS005
+    sums the cases' group counts.  A tampered split must be caught."""
+
+    def _split_rows(self, result):
+        """Positions of the outermost split row and of its case rows."""
+        split = next(i for i, row in enumerate(result.trace) if row.cases)
+        depth = result.trace[split].depth + 1
+        cases = [
+            i
+            for i, row in enumerate(result.trace)
+            if row.depth == depth and row.note.startswith("case")
+        ]
+        return split, cases
+
+    def test_three_level_trace_splits(self):
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        assert result.verdict is Verdict.DEPENDENT
+        split, cases = self._split_rows(result)
+        assert [str(v) for v in result.trace[split].cases] == ["-6", "2"]
+        assert len(cases) == 2
+
+    def test_dropped_case_fires_ds001_and_ds005(self):
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        split, cases = self._split_rows(result)
+        trace = result.trace
+        row = trace[split]
+        result.trace = trace[: cases[1]]
+        result.trace[split] = replace(row, cases=row.cases[:1])
+        diags = audit_result(THREE_LEVEL, result)
+        assert any(
+            d.code == "DS001" and "head sum takes v in {-6, 2}" in d.message
+            for d in diags
+        )
+        assert any(
+            d.code == "DS005" and "split cases admit" in d.message
+            for d in diags
+        )
+
+    def test_missing_case_rows_fire_ds001(self):
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        _, cases = self._split_rows(result)
+        result.trace = result.trace[: cases[1]]
+        diags = audit_result(THREE_LEVEL, result)
+        assert any(
+            d.code == "DS001" and "lists 2 cases, the trace has 1" in d.message
+            for d in diags
+        )
+
+    def test_wrong_case_value_fires_ds001(self):
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        split, cases = self._split_rows(result)
+        trace = result.trace
+        row = trace[split]
+        trace[split] = replace(row, cases=(row.cases[0] - 8, row.cases[1]))
+        head = trace[cases[0]].separated
+        trace[cases[0]] = replace(
+            trace[cases[0]],
+            separated=LinExpr(dict(head.coeffs), head.const + 8),
+        )
+        diags = audit_result(THREE_LEVEL, result)
+        assert any(
+            d.code == "DS001" and "has cases v in {-14, 2}" in d.message
+            for d in diags
+        )
+
+    def test_case_head_off_its_value_fires_ds001(self):
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        _, cases = self._split_rows(result)
+        head = result.trace[cases[0]].separated
+        result.trace[cases[0]] = replace(
+            result.trace[cases[0]],
+            separated=LinExpr(dict(head.coeffs), head.const + 1),
+        )
+        diags = audit_result(THREE_LEVEL, result)
+        assert any(
+            d.code == "DS001" and "case v=-6" in d.message for d in diags
+        )
+
+    def test_case_solved_against_the_wrong_constant_fires(self, monkeypatch):
+        """Each case scans on with ``c0 + v + gk`` instead of ``c0 + v``."""
+        from importlib import import_module
+
+        scan_module = import_module("repro.core.delinearize")
+        split = scan_module._split
+
+        def shifted(scan, result, c0, group_start, k, smin, smax, gk,
+                    group_gcd, resume):
+            return split(
+                scan, result, c0, group_start, k, smin, smax, gk, group_gcd,
+                lambda c: resume(c + gk),
+            )
+
+        monkeypatch.setattr(scan_module, "_split", shifted)
+        result = delinearize(THREE_LEVEL, keep_trace=True)
+        codes = {d.code for d in audit_result(THREE_LEVEL, result)}
+        assert {"DS001", "DS005"} <= codes
 
 
 class TestFalsifiedVerdicts:

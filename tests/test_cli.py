@@ -317,6 +317,41 @@ class TestDelinearize:
         assert "direction vectors: (<)" in out
         assert "distance-direction: (+1)" in out
 
+    def test_three_level_split(self, capsys):
+        """No barrier after the i pair: the scan splits into cases, each
+        solved exactly, and the union of their directions is the oracle's."""
+        from repro.deptests import DependenceProblem
+        from repro.deptests import exhaustive_direction_vectors
+
+        names = ("i1", "i2", "j1", "j2", "k1", "k2")
+        code = main(
+            [
+                "delinearize",
+                "--equation",
+                "i1 - i2 + 8*j1 - 8*j2 + 64*k1 - 64*k2 - 10",
+                "--bounds",
+                ",".join(f"{name}=7" for name in names),
+                "--pairs",
+                "i1:i2,j1:j2,k1:k2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict:  dependent" in out
+        assert "k=3: c=8 smin=-7 smax=7 g=8 r=6  [split: v in {-6, 2}]" in out
+        assert "separated: i1 - i2 + 6 = 0  [case v=-6 (pair)]" in out
+        assert "separated: i1 - i2 - 2 = 0  [case v=2 (pair)]" in out
+        problem = DependenceProblem.single(
+            dict(zip(names, (1, -1, 8, -8, 64, -64))),
+            -10,
+            {name: 7 for name in names},
+            pairs=[("i1", "i2"), ("j1", "j2"), ("k1", "k2")],
+        )
+        # Distances (6,6,-1), (6,-2,0), (-2,7,-1) and (-2,-1,0).
+        oracle = sorted(str(v) for v in exhaustive_direction_vectors(problem))
+        assert oracle == ["(<, <, >)", "(<, >, =)", "(>, <, >)", "(>, >, =)"]
+        assert f"direction vectors: {', '.join(oracle)}" in out
+
     def test_symbolic_with_assumptions(self, capsys):
         code = main(
             [

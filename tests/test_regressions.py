@@ -210,3 +210,55 @@ class TestRefinementLevelCap:
         start = time.perf_counter()
         delinearize(problem)
         assert time.perf_counter() - start < 2.0
+
+
+class TestSplitLeafCap:
+    """Case splits double per level: a 10-level linearized equation whose
+    constant misses every barrier would make 512 leaf cases.  Its case tree
+    is sized before the first split, so it stays unsplit, does no case work
+    and is not slower than the scan without splits."""
+
+    @staticmethod
+    def _ten_levels():
+        coeffs, bounds, pairs = {}, {}, []
+        for level in range(10):
+            a, b = f"a{level}", f"b{level}"
+            coeffs[a], coeffs[b] = 8**level, -(8**level)
+            bounds[a] = bounds[b] = 7
+            pairs.append((a, b))
+        # Base-8 digits 2222222222: a remainder at every step.
+        return DependenceProblem.single(
+            coeffs, -int("2" * 10, 8), bounds, pairs=pairs
+        )
+
+    def test_ten_levels_stay_under_the_leaf_cap(self, monkeypatch):
+        import time
+        from importlib import import_module
+
+        scan = import_module("repro.core.delinearize")
+        problem = self._ten_levels()
+        heads = []
+        solve_head = scan._solve_head
+        monkeypatch.setattr(
+            scan,
+            "_solve_head",
+            lambda s, head: heads.append(head) or solve_head(s, head),
+        )
+
+        def best(reps=5):
+            times = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                result = delinearize(problem, keep_trace=True)
+                times.append(time.perf_counter() - start)
+            return min(times), result
+
+        split_time, result = best()
+        assert heads == []
+        assert not any(row.cases for row in result.trace)
+        monkeypatch.setattr(scan, "SPLIT_CASE_LIMIT", 0)
+        unsplit_time, unsplit = best()
+        assert result.format_trace() == unsplit.format_trace()
+        assert result.direction_vectors == unsplit.direction_vectors
+        # Timing noise is real; only insist on a loose margin.
+        assert split_time <= unsplit_time * 1.5
