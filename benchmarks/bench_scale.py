@@ -1,4 +1,4 @@
-"""Scaling benches for the dependence engine's canonical-problem cache.
+"""Scaling benches for the dependence engine's problem cache.
 
 Measures the cache on a solve-bound workload of 3-D linearized subscript
 pairs (the paper's target population — each pair costs ~10ms of solver time,
@@ -7,13 +7,15 @@ so caching is visible over the fixed per-pair bookkeeping):
 * ``serial_nocache`` — ``analyze_dependences(use_cache=False)``, the PR-4
   baseline path;
 * ``serial_cold``    — a fresh :class:`ProblemCache`; the delta against
-  ``serial_nocache`` prices canonicalization (the "<3% cold overhead"
-  target — usually *negative*, because duplicated canonical shapes inside
-  one program already hit intra-run);
+  ``serial_nocache`` prices the key (the "<3% cold overhead" target —
+  usually *negative*, because the pairs of one nest produce identical
+  equations that already hit intra-run);
 * ``serial_warm``    — the same cache again, every pair a hit (the ">=5x
   warm" target);
 * ``solver_*``       — the cache layer alone: :func:`cached_delinearize`
-  cold vs warm over renamed/scaled twins, no graph machinery at all.
+  cold vs warm over renamed/scaled twins, no graph machinery at all.  The
+  cache keys a problem as written, so twins no longer share an entry:
+  ``solver_cold`` misses on every problem and ``solver_warm`` hits on all.
 
 The interval range analysis (``derive_bounds``) is disabled throughout: it
 runs once per program in the parent, is untouched by this PR, and would
@@ -91,7 +93,8 @@ def corpus_source(statements: int) -> str:
 
 def solver_problems(shapes: int, copies: int) -> list[DependenceProblem]:
     """``shapes`` distinct 3-D problems, each repeated as ``copies`` renamed
-    and integer-scaled twins (what the canonical cache collapses)."""
+    and integer-scaled twins.  The cache keys a problem as written, so
+    twins no longer share an entry."""
     problems = []
     for shape in range(shapes):
         const = 7 * shape + 3

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="DIR",
-        help="persistent canonical-problem cache shared by the workers "
+        help="persistent problem cache shared by the workers "
         "(flock-guarded, corruption-tolerant)",
     )
     serve.add_argument(
@@ -306,14 +306,14 @@ def _add_source_args(
         type=Path,
         default=None,
         metavar="DIR",
-        help="persist the canonical-problem cache under DIR so repeated "
+        help="persist the problem cache under DIR so repeated "
         "runs are warm (invalidated automatically when analysis code "
         "changes)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the canonical-problem cache (solve every pair fresh)",
+        help="disable the problem cache (solve every pair fresh)",
     )
     parser.add_argument(
         "--chaos-seed",

@@ -1,6 +1,7 @@
 """The paper's contribution: the delinearization algorithm and theorem."""
 
 from .cache import (
+    CachedOutcome,
     CacheStats,
     ProblemCache,
     cached_delinearize,
@@ -8,7 +9,6 @@ from .cache import (
     default_cache,
     schema_hash,
 )
-from .canon import CachedOutcome, CanonicalForm, canonicalize
 from .delinearize import (
     DelinearizationResult,
     TraceRow,
@@ -26,12 +26,10 @@ from .theorem import (
 __all__ = [
     "CacheStats",
     "CachedOutcome",
-    "CanonicalForm",
     "DelinearizationResult",
     "GroupSolution",
     "ProblemCache",
     "cached_delinearize",
-    "canonicalize",
     "clear_all",
     "default_cache",
     "schema_hash",

@@ -1,12 +1,13 @@
-"""The canonical-problem cache: memoized delinearization verdicts.
+"""The problem cache: memoized delinearization verdicts.
 
 :func:`cached_delinearize` is a drop-in front end for
-:func:`repro.core.delinearize.delinearize`: it canonicalizes the problem
-(:mod:`repro.core.canon`), looks the key up in a :class:`ProblemCache`, and
-on a hit maps the stored direction vectors and distances back through the
-problem's own level permutation.  On a miss the *original* problem is solved
-— never the canonical one — so the solving path is byte-identical with the
-cache on, off, cold or warm.
+:func:`repro.core.delinearize.delinearize`: it keys the problem as written
+(:func:`problem_key`), looks the key up in a :class:`ProblemCache`, and on a
+hit rebuilds the stored verdict, direction vectors and distances.  The pairs
+of one loop nest produce literally identical dependence equations, so this
+plain key hits as often as any normal form would.  On a miss the problem
+itself is solved, so the solving path is byte-identical with the cache on,
+off, cold or warm.
 
 Two safety rules keep cached answers indistinguishable from fresh ones:
 
@@ -46,17 +47,99 @@ try:  # POSIX only; on other platforms the cache runs lock-free.
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
+from ..deptests.problem import DependenceProblem, Verdict
+from ..dirvec.vectors import DirVec
+from ..symbolic import Poly
 from . import chaos
-from .canon import CachedOutcome, CanonKey, canonicalize, outcome_to_result, result_to_outcome
-from .delinearize import delinearize
+from .delinearize import DelinearizationResult, delinearize
 
 #: Default capacity of the in-memory LRU.  Entries are small (a verdict, a
 #: handful of direction vectors, a few distance polynomials); real corpora
-#: collapse to far fewer canonical shapes than this.
+#: produce far fewer distinct problems than this.
 DEFAULT_MAXSIZE = 8192
 
 #: Bumped when the pickle layout of persistent entries changes.
 PICKLE_VERSION = 1
+
+
+@dataclass(frozen=True)
+class CachedOutcome:
+    """The cacheable portion of a :class:`DelinearizationResult`.
+
+    Direction vectors and distances are kept in the problem's own level
+    order.  Groups and the Figure-5 trace are deliberately not cached: the
+    only consumers (the soundness auditor, the ``delinearize`` CLI trace)
+    bypass the cache.
+    """
+
+    verdict: str
+    dirvecs: frozenset[DirVec]
+    distances: tuple[tuple[int, Poly], ...]
+    dimensions: int
+
+    @classmethod
+    def of(cls, result: DelinearizationResult) -> "CachedOutcome":
+        if result.verdict is Verdict.INDEPENDENT:
+            # Early-independence returns may leave partial direction/distance
+            # state behind; normalize it away so equal keys store equal entries.
+            return cls(result.verdict.value, frozenset(), (), result.dimensions_found)
+        return cls(
+            result.verdict.value,
+            frozenset(result.direction_vectors),
+            tuple(sorted(result.distances.items())),
+            result.dimensions_found,
+        )
+
+    def to_result(self) -> DelinearizationResult:
+        verdict = Verdict(self.verdict)
+        result = DelinearizationResult(verdict=verdict, dimensions_found=self.dimensions)
+        if verdict is not Verdict.INDEPENDENT:
+            result.direction_vectors = set(self.dirvecs)
+            result.distances = dict(self.distances)
+        return result
+
+
+def problem_key(problem: DependenceProblem) -> tuple:
+    """The cache key of ``problem``: the problem as written, as plain tuples.
+
+    Holds each equation's coefficients in insertion order plus its constant,
+    each variable as ``(name, upper, level, side)``, the common level count
+    and ``(symbol, lower, upper)`` for every symbol the problem mentions.
+
+    * Coefficient order stays in the key: ``LinExpr`` equality ignores it,
+      but the Figure-4 scan's stable sort breaks ties by it, so two problems
+      equal as ``LinExpr`` can find different ``dimensions_found``.
+    * Every polynomial appears as its sorted terms tuple, never as a
+      :class:`Poly`: a ``Poly`` pickles the hash it cached in its own
+      process, so a persisted key holding one would never match again.
+    * Only the intervals of mentioned symbols enter the key, so a verdict
+      never crosses assumption contexts and unrelated facts cost no hits.
+    """
+    symbols: set[str] = set()
+    equations = []
+    for eq in problem.equations:
+        coeffs = eq.coeffs
+        equations.append(
+            (
+                tuple((name, _poly_key(coeff)) for name, coeff in coeffs.items()),
+                _poly_key(eq.const),
+            )
+        )
+        symbols |= eq.const.symbols()
+        for coeff in coeffs.values():
+            symbols |= coeff.symbols()
+    variables = []
+    for var in problem.variables.values():
+        variables.append((var.name, _poly_key(var.upper), var.level, var.side))
+        symbols |= var.upper.symbols()
+    intervals = tuple(
+        (symbol, *problem.assumptions.interval(symbol)) for symbol in sorted(symbols)
+    )
+    return tuple(equations), tuple(variables), problem.common_levels, intervals
+
+
+def _poly_key(p: Poly) -> tuple:
+    return tuple(sorted(p.terms.items()))
 
 
 @dataclass
@@ -88,19 +171,19 @@ class CacheStats:
 
 
 class ProblemCache:
-    """An LRU of canonical keys -> :class:`CachedOutcome` with counters."""
+    """An LRU of :func:`problem_key` keys -> :class:`CachedOutcome` with counters."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError("cache maxsize must be positive")
         self.maxsize = maxsize
         self.stats = CacheStats()
-        self._data: OrderedDict[CanonKey, CachedOutcome] = OrderedDict()
+        self._data: OrderedDict[tuple, CachedOutcome] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def lookup(self, key: CanonKey) -> CachedOutcome | None:
+    def lookup(self, key: tuple) -> CachedOutcome | None:
         entry = self._data.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -109,7 +192,7 @@ class ProblemCache:
         self.stats.hits += 1
         return entry
 
-    def store(self, key: CanonKey, entry: CachedOutcome) -> None:
+    def store(self, key: tuple, entry: CachedOutcome) -> None:
         if key in self._data:
             self._data.move_to_end(key)
             return
@@ -183,7 +266,7 @@ class ProblemCache:
         path = persistent_path(directory)
         try:
             with _cache_lock(path):
-                entries: dict[CanonKey, CachedOutcome] = {}
+                entries: dict[tuple, CachedOutcome] = {}
                 try:
                     with open(path, "rb") as fh:
                         payload = pickle.load(fh)
@@ -265,7 +348,6 @@ def _quarantine(path: Path) -> None:
 #: Modules whose source defines what a cached verdict means.  Editing any of
 #: them changes the schema hash and orphans existing persistent files.
 _SCHEMA_MODULES = (
-    "repro.core.canon",
     "repro.core.cache",
     "repro.core.delinearize",
     "repro.core.groups",
@@ -369,10 +451,10 @@ def cached_delinearize(
     """
     if cache is None or keep_trace or chaos.active_state() is not None:
         return delinearize(problem, keep_trace=keep_trace, budget=budget)
-    form = canonicalize(problem)
-    entry = cache.lookup(form.key)
+    key = problem_key(problem)
+    entry = cache.lookup(key)
     if entry is not None:
-        return outcome_to_result(entry, form)
+        return entry.to_result()
     result = delinearize(problem, budget=budget)
-    cache.store(form.key, result_to_outcome(result, form))
+    cache.store(key, CachedOutcome.of(result))
     return result

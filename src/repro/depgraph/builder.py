@@ -433,12 +433,12 @@ def analyze_dependences(
     Performance knobs (none of which may change the resulting graph —
     ``tests/core/test_cache.py`` holds them to byte-identity):
 
-    * ``use_cache`` / ``cache`` — memoize verdicts on the canonical-problem
-      cache (:mod:`repro.core.cache`); the process-wide default cache unless
+    * ``use_cache`` / ``cache`` — memoize verdicts on the problem cache
+      (:mod:`repro.core.cache`); the process-wide default cache unless
       an explicit :class:`ProblemCache` is given.  ``use_cache=False``
-      solves every pair from scratch.
+      solves every pair from scratch, and so does ``audit=True``.
     * ``cache_dir`` — warm the cache from (and persist it to) an on-disk
-      pickle keyed by the deptest schema hash.
+      pickle keyed by the deptest schema hash; unused when no cache is.
 
     Server extensions:
 
@@ -467,9 +467,14 @@ def analyze_dependences(
         for index, (stmt, _) in enumerate(analyzed.walk_statements())
     }
     pairs = reference_pairs(analyzed, include_input)
-    problem_cache = cache
-    if problem_cache is None and use_cache:
-        problem_cache = default_cache()
+    if audit:
+        # The auditor needs every pair's Figure-5 trace, which a cached
+        # answer cannot give: an audited build reads and writes no cache.
+        problem_cache = None
+    elif cache is not None:
+        problem_cache = cache
+    else:
+        problem_cache = default_cache() if use_cache else None
     if problem_cache is not None and cache_dir is not None:
         problem_cache.load_disk(cache_dir)
 

@@ -1,35 +1,194 @@
-"""The problem cache: LRU behaviour, persistence, its safety bypasses, and
-byte-identical dependence graphs with the cache on, off, cold or warm."""
+"""The problem cache: its key, LRU behaviour, persistence, its safety
+bypasses, and byte-identical dependence graphs with the cache on, off, cold
+or warm."""
 
 import gc
 import pickle
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import delinearize
 from repro.core.cache import (
     PICKLE_VERSION,
+    CachedOutcome,
     ProblemCache,
     cached_delinearize,
     clear_all,
     default_cache,
     persistent_path,
+    problem_key,
     schema_hash,
 )
-from repro.core.canon import canonicalize, result_to_outcome
 from repro.core.chaos import chaos
 from repro.core.resilience import Budget, BudgetExhausted
 from repro.depgraph import analyze_dependences
+from repro.deptests import BoundedVar, DependenceProblem
 from repro.frontend import parse_fortran
+from repro.lint import lint_source
+from repro.symbolic import Assumptions, LinExpr, Poly
 from repro.symbolic.poly import _poly_gcd_cached, poly_gcd
 
-from .test_canon import result_tuple, two_level
+PAIR_ORDER = ("i1", "i2", "j1", "j2")
+
+
+def two_level(
+    ci=1, cj=10, const=0, zi=4, zj=9, assumptions=None, order=PAIR_ORDER
+):
+    """A 2-D pair problem ``ci*(i1-i2) + cj*(j1-j2) + const = 0``.
+
+    ``order`` is the coefficient insertion order, which is part of the key.
+    """
+    coeffs = {"i1": ci, "i2": -ci, "j1": cj, "j2": -cj}
+    eq = LinExpr({name: coeffs[name] for name in order}, const)
+    variables = [
+        BoundedVar.make("i1", zi, 1, 0),
+        BoundedVar.make("i2", zi, 1, 1),
+        BoundedVar.make("j1", zj, 2, 0),
+        BoundedVar.make("j2", zj, 2, 1),
+    ]
+    return DependenceProblem(
+        [eq], variables, common_levels=2, assumptions=assumptions
+    )
+
+
+def tie_break(order):
+    """``3*a0 - 6*a1 + 6*b0 - 6*b1 + 30 = 0``, every variable in ``[0, 4]``:
+    the scan finds 2 dimensions with coefficients inserted in the order
+    ``a0, a1, b0, b1`` and 1 in the order ``b0, a0, b1, a1``."""
+    coeffs = {"a0": 3, "a1": -6, "b0": 6, "b1": -6}
+    variables = [
+        BoundedVar.make("a0", 4, 1, 0),
+        BoundedVar.make("a1", 4, 1, 1),
+        BoundedVar.make("b0", 4, 2, 0),
+        BoundedVar.make("b1", 4, 2, 1),
+    ]
+    eq = LinExpr({name: coeffs[name] for name in order}, 30)
+    return DependenceProblem([eq], variables, common_levels=2)
+
+
+def result_tuple(result):
+    """The observable answer: everything a cache replay must reproduce."""
+    return (
+        result.verdict,
+        frozenset(result.direction_vectors),
+        dict(result.distances),
+        result.dimensions_found,
+    )
 
 
 def entry_for(problem):
-    form = canonicalize(problem)
-    return form.key, result_to_outcome(delinearize(problem), form)
+    return problem_key(problem), CachedOutcome.of(delinearize(problem))
+
+
+def leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+class TestKey:
+    def test_different_constants_differ(self):
+        assert problem_key(two_level(const=1)) != problem_key(two_level(const=2))
+
+    def test_assumption_fingerprint_discriminates(self):
+        n = Poly.symbol("n")
+        tight = Assumptions.empty().with_interval("n", 0, 3)
+        loose = Assumptions.empty().with_interval("n", 0, 30)
+        a = two_level(const=n, assumptions=tight)
+        b = two_level(const=n, assumptions=loose)
+        assert problem_key(a) != problem_key(b)
+
+    def test_unmentioned_symbols_do_not_pollute_the_key(self):
+        base = Assumptions.empty().with_interval("n", 0, 3)
+        extra = base.with_interval("unrelated", 1, 2)
+        n = Poly.symbol("n")
+        a = two_level(const=n, assumptions=base)
+        b = two_level(const=n, assumptions=extra)
+        assert problem_key(a) == problem_key(b)
+
+    def test_key_holds_only_plain_values(self):
+        # A Poly pickles the hash it cached in its own process, so a key
+        # holding one would never match after a reload.  None marks an
+        # absent level, side or interval bound.
+        n = Poly.symbol("n")
+        problem = two_level(
+            const=n + 3, assumptions=Assumptions.empty().with_bound("n", 1)
+        )
+        assert {type(leaf) for leaf in leaves(problem_key(problem))} <= {
+            int,
+            str,
+            type(None),
+        }
+
+    def test_coefficient_order_is_part_of_the_key(self):
+        # LinExpr equality ignores insertion order; the scan's tie-break
+        # does not.
+        first = tie_break(("a0", "a1", "b0", "b1"))
+        second = tie_break(("b0", "a0", "b1", "a1"))
+        assert first.equations == second.equations
+        assert problem_key(first) != problem_key(second)
+        cache = ProblemCache()
+        cached_delinearize(first, cache=cache)
+        fresh = delinearize(second)
+        warm = cached_delinearize(second, cache=cache)
+        assert (delinearize(first).dimensions_found, fresh.dimensions_found) == (2, 1)
+        assert result_tuple(warm) == result_tuple(fresh)
+        assert cache.stats.hits == 0
+
+
+@st.composite
+def problems_with_twins(draw):
+    """A random problem plus a twin: the same problem, with its coefficients
+    inserted in the same or in another order."""
+    ci = draw(st.integers(-6, 6))
+    cj = draw(st.integers(-12, 12))
+    zi = draw(st.integers(0, 6))
+    zj = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        lower = draw(st.integers(0, 4))
+        upper = lower + draw(st.integers(0, 6))
+        const = Poly.symbol("n") + draw(st.integers(-10, 10))
+        assumptions = Assumptions.empty().with_interval("n", lower, upper)
+    else:
+        const = Poly.const(draw(st.integers(-30, 30)))
+        assumptions = None
+    base = two_level(ci, cj, const, zi, zj, assumptions)
+    order = draw(st.one_of(st.just(PAIR_ORDER), st.permutations(PAIR_ORDER)))
+    twin = two_level(ci, cj, const, zi, zj, assumptions, tuple(order))
+    return base, twin
+
+
+@given(problems_with_twins())
+@settings(max_examples=150, deadline=None)
+def test_cache_replay_equals_fresh_solve(case):
+    """Warm answer == fresh answer: whether the twin's lookup hits or
+    misses, its verdict, direction vectors, distances and dimensions equal
+    a fresh, cache-free solve of the twin."""
+    base, twin = case
+    fresh = delinearize(twin)
+    cache = ProblemCache()
+    cached_delinearize(base, cache=cache)
+    warm = cached_delinearize(twin, cache=cache)
+    assert result_tuple(warm) == result_tuple(fresh)
+    assert cache.stats.hits == (problem_key(base) == problem_key(twin))
+
+
+@given(problems_with_twins())
+@settings(max_examples=100, deadline=None)
+def test_self_replay_is_identity(case):
+    """Storing then immediately replaying the same problem is exact."""
+    base, _ = case
+    fresh = delinearize(base)
+    cache = ProblemCache()
+    cached_delinearize(base, cache=cache)
+    warm = cached_delinearize(base, cache=cache)
+    assert cache.stats.hits == 1
+    assert result_tuple(warm) == result_tuple(fresh)
 
 
 class TestLRU:
@@ -241,6 +400,14 @@ class TestBypasses:
         assert result.trace  # a replay could not have produced this
         assert cache.stats.hits == 0
 
+    def test_audited_lint_leaves_cache_dir_untouched(self, tmp_path):
+        # The audit bypasses every lookup, so it must not load or rewrite
+        # the persistent file (or take its lock) either.
+        lint_source(FIGURE3, cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+        lint_source(FIGURE3, audit=False, schedule=True, cache_dir=str(tmp_path))
+        assert ProblemCache().load_disk(tmp_path) > 0
+
     def test_no_cache_is_plain_delinearize(self):
         problem = two_level(const=-12)
         assert result_tuple(cached_delinearize(problem)) == result_tuple(
@@ -315,7 +482,8 @@ class TestGraphByteIdentity:
         assert fingerprint(cold) == fingerprint(warm)
         assert warm.perf.cache_misses == 0
         # Every cacheable pair hits the second time — including pairs that
-        # already hit intra-run the first time (shared canonical shapes).
+        # already hit intra-run the first time (pairs of one nest produce
+        # identical equations).
         assert warm.perf.cache_hits == cold.perf.cache_hits + cold.perf.cache_misses
 
     def test_persistent_dir_warms_a_fresh_cache(self, tmp_path):

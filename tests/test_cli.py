@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 INTRO = """
@@ -9,6 +16,14 @@ REAL C(0:99)
 DO 1 i = 0, 4
 DO 1 j = 0, 9
 1 C(i+10*j) = C(i+10*j+5)
+"""
+
+SYMBOLIC = """
+REAL A(0:999), B(0:999)
+DO 1 i = 0, N
+DO 1 j = 0, 9
+A(i + 10*j + N) = A(i + 10*j) + 1
+1 B(i) = B(i + 1) + 1
 """
 
 C_SOURCE = """
@@ -447,6 +462,36 @@ class TestPerfFlags:
         cold = capsys.readouterr().out
         assert main(["analyze", str(fortran_file), "--cache-dir", cache_dir]) == 0
         assert capsys.readouterr().out == cold
+
+    def test_cache_dir_hits_across_processes(self, tmp_path):
+        # Keys must survive a reload into an interpreter with another string
+        # hash seed, or the persistent layer would silently never hit.  The
+        # symbolic bound N puts symbol names inside the key's polynomials.
+        program = tmp_path / "symbolic.f"
+        program.write_text(SYMBOLIC)
+        cache_dir = tmp_path / "depcache"
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def analyze(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "analyze", str(program),
+                 "--cache-dir", str(cache_dir), "--perf"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            hits, misses = re.search(
+                r"cache hit/miss=(\d+)/(\d+)", done.stderr
+            ).groups()
+            return done.stdout, int(hits), int(misses)
+
+        cold_out, cold_hits, cold_misses = analyze(1)
+        warm_out, warm_hits, warm_misses = analyze(2)
+        assert cold_misses > 0
+        assert (warm_hits, warm_misses) == (cold_hits + cold_misses, 0)
+        assert warm_out == cold_out
 
     def test_perf_report_goes_to_stderr(self, fortran_file, capsys):
         assert main(["analyze", str(fortran_file), "--perf"]) == 0
