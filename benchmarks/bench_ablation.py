@@ -7,7 +7,8 @@
 3. rectangular iteration-space extension (paper footnote 1): the cheap box
    bound occasionally reports MAYBE where exact (exhaustive) bounds decide;
 4. the r vs r-g remainder decomposition: restricting to the canonical
-   remainder misses the paper's own Figure-5 split.
+   remainder misses the paper's own Figure-5 barrier at k=5; a case split
+   recovers the dimension, and without splits it is lost.
 """
 
 from repro import Verdict, delinearize
@@ -91,29 +92,34 @@ class TestRectangularExtensionAblation:
 
 
 class TestRemainderDecompositionAblation:
-    def test_canonical_only_misses_figure5(self):
-        """Force the canonical remainder and watch the k=5 barrier vanish."""
-        import importlib
+    def test_canonical_only_misses_figure5(self, monkeypatch):
+        """Force the canonical remainder and watch the k=5 barrier vanish.
+
+        The scan then splits at k=5 (``v in {10}``), and the one case
+        recovers the third dimension; with splits off as well only two
+        dimensions are found.
+        """
+        from importlib import import_module
 
         problem = figure5_equation()
         full = delinearize(problem, keep_trace=True)
         assert full.dimensions_found == 3
 
-        module = importlib.import_module("repro.core.delinearize")
+        module = import_module("repro.core.delinearize")
         original = module._candidate_remainders
-        original_int = module._candidate_remainders_int
-        try:
-            module._candidate_remainders = lambda c0, gk: (
-                [original(c0, gk)[0]]
-            )
-            module._candidate_remainders_int = lambda c0, gk: (
-                (original_int(c0, gk)[0],)
-            )
-            restricted = delinearize(problem, keep_trace=True)
-        finally:
-            module._candidate_remainders = original
-            module._candidate_remainders_int = original_int
-        assert restricted.dimensions_found < 3
+        monkeypatch.setattr(
+            module,
+            "_candidate_remainders",
+            lambda c0, gk: [original(c0, gk)[0]],
+        )
+        restricted = delinearize(problem, keep_trace=True)
+        (k5,) = [
+            row for row in restricted.trace if row.k == 5 and row.depth == 0
+        ]
+        assert k5.cases and k5.separated is None
+        monkeypatch.setattr(module, "SPLIT_CASE_LIMIT", 0)
+        unsplit = delinearize(problem)
+        assert unsplit.dimensions_found < 3
 
 
 def test_bench_intro_with_and_without_sorting(benchmark):

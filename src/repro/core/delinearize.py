@@ -37,6 +37,10 @@ Deviations from the paper's literal pseudo-code, all discussed in DESIGN.md:
   with constant ``c0 + v`` (the theorem's ``d0 = -v``).  The result is the
   union over cases (see :func:`_split` for when a split applies and
   :data:`SPLIT_CASE_LIMIT` / :data:`SPLIT_LEAF_LIMIT` for its bounds).
+
+One scan serves symbolic and concrete equations alike: on an equation with
+integer coefficients and constant bounds it runs on plain ints (see
+:class:`_Scan`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from functools import cmp_to_key
 from typing import Callable
 
 from ..dirvec.vectors import DirVec, DistanceElem, DistanceVec, merge_direction_sets
-from ..symbolic import Assumptions, LinExpr, Poly, poly_gcd_many
+from ..symbolic import Assumptions, LinExpr, Poly, poly_gcd
 from ..deptests.problem import DependenceProblem, Verdict
 from .chaos import chaos_point
 from .groups import GroupSolution, solve_group
@@ -135,7 +139,6 @@ def delinearize(
     problem: DependenceProblem,
     sort_coefficients: bool = True,
     keep_trace: bool = False,
-    use_fast_path: bool = True,
     budget: Budget | None = None,
 ) -> DelinearizationResult:
     """Run the Figure-4 algorithm on every equation of ``problem``.
@@ -143,7 +146,9 @@ def delinearize(
     The per-equation results combine conjunctively: any independent equation
     makes the problem independent; direction-vector sets merge by
     intersection; the problem is proven DEPENDENT only when every equation's
-    every group is exactly solvable and solvable.
+    every group is exactly solvable and solvable.  A variable with a
+    negative constant upper bound empties the iteration box: the problem is
+    independent without a scan.
 
     A caller-supplied ``budget`` is charged per scan step and per split
     case and threaded into the group solver's concrete enumeration;
@@ -153,26 +158,21 @@ def delinearize(
     assumed dependence.
     """
     chaos_point("delinearize.scan")
+    empty = _empty_range(problem)
+    if empty is not None:
+        result = DelinearizationResult(verdict=Verdict.INDEPENDENT)
+        if keep_trace:
+            row = TraceRow(1, None, None, None, None, None, None, None, empty)
+            result.trace.append(row)
+        return result
     combined = DelinearizationResult(
         verdict=Verdict.DEPENDENT,
         direction_vectors={DirVec.star(problem.common_levels)},
     )
     for equation in problem.equations:
-        if (
-            use_fast_path
-            and equation.is_integer_concrete()
-            and all(
-                problem.variables[n].upper.is_constant()
-                for n in equation.variables()
-            )
-        ):
-            result = _delinearize_equation_int(
-                equation, problem, sort_coefficients, keep_trace, budget
-            )
-        else:
-            result = _delinearize_equation(
-                equation, problem, sort_coefficients, keep_trace, budget
-            )
+        result = _delinearize_equation(
+            equation, problem, sort_coefficients, keep_trace, budget
+        )
         combined.trace.extend(result.trace)
         combined.groups.extend(result.groups)
         combined.dimensions_found += result.dimensions_found
@@ -211,17 +211,34 @@ def delinearize(
     return combined
 
 
+def _empty_range(problem: DependenceProblem) -> str | None:
+    """The trace note of a variable with a negative constant upper bound, if
+    any.  Symbolic bounds skip the prover (a call per variable of every
+    problem): the scan already treats a bound not proven nonnegative as
+    unknown."""
+    for name, var in problem.variables.items():
+        if var.upper.constant_term() < 0 and var.upper.is_constant():
+            return f"empty range: {name} in [0, {var.upper}]"
+    return None
+
+
 @dataclass
 class _Scan:
     """What every step of one equation's scan shares, split cases included.
 
-    ``order`` holds ``(name, coeff, upper)`` in scan order (plain ints on the
-    fast path, polynomials on the generic one) and ``suffix_gcd[k]`` the gcd
-    of ``order[k:]``'s coefficients.
+    ``order`` holds ``(name, coeff, upper)`` in scan order and
+    ``suffix_gcd[k]`` the gcd of ``order[k:]``'s coefficients.  When the
+    equation has integer coefficients and constant bounds these, and every
+    constant and extreme of the scan, are plain ints; otherwise they are
+    polynomials.  Only the arithmetic helpers (:func:`_admit`,
+    :func:`_try_barrier`, :func:`_candidate_remainders`, :func:`_is_pos`,
+    :func:`_is_neg` and :func:`_trace_row`) tell the two apart.
     """
 
     order: list
     suffix_gcd: list
+    #: How the scan writes an integer constant: ``int`` or ``Poly.const``.
+    constant: Callable[[int], int | Poly]
     problem: DependenceProblem
     keep_trace: bool
     budget: Budget | None
@@ -248,28 +265,39 @@ def _delinearize_equation(
     keep_trace: bool,
     budget: Budget | None = None,
 ) -> DelinearizationResult:
-    entries = [
+    order = [
         (name, coeff, problem.variables[name].upper)
         for name, coeff in equation.coeffs.items()
     ]
-    if sort_coefficients:
-        entries.sort(key=cmp_to_key(_magnitude_cmp(problem.assumptions)))
-    order = entries
-    n = len(order)
+    c0 = equation.const
+    if equation.is_integer_concrete() and all(
+        upper.is_constant() for _, _, upper in order
+    ):
+        # Concrete equations dominate in practice (every reference pair of a
+        # program with constant loop bounds): scan them on machine ints.
+        order = [(n, c.as_int(), u.as_int()) for n, c, u in order]
+        if sort_coefficients:
+            order.sort(key=lambda entry: abs(entry[1]))
+        c0, constant, gcd = c0.as_int(), int, math.gcd
+    else:
+        if sort_coefficients:
+            order.sort(key=cmp_to_key(_magnitude_cmp(problem.assumptions)))
+        constant, gcd = Poly.const, poly_gcd
 
     # Suffix gcds: gk = gcd(c_Ik, ..., c_In).
-    suffix_gcd: list[Poly | None] = [None] * (n + 1)
-    acc = Poly()
-    for index in range(n - 1, -1, -1):
-        acc = poly_gcd_many([acc, order[index][1]])
-        suffix_gcd[index] = acc
+    suffix_gcd = []
+    acc = constant(0)
+    for _, coeff, _ in reversed(order):
+        acc = gcd(acc, coeff)
+        suffix_gcd.append(acc)
+    suffix_gcd.reverse()
 
-    scan = _Scan(order, suffix_gcd, problem, keep_trace, budget)
-    return _scan(scan, equation.const, 0, 0)
+    scan = _Scan(order, suffix_gcd, constant, problem, keep_trace, budget)
+    return _scan(scan, c0, 0, 0)
 
 
 def _scan(
-    scan: _Scan, c0: Poly, group_start: int, start: int
+    scan: _Scan, c0: int | Poly, group_start: int, start: int
 ) -> DelinearizationResult:
     """The scan from step ``start``, with ``order[group_start:start]``
     already admitted to the unseparated group."""
@@ -281,8 +309,7 @@ def _scan(
         verdict=Verdict.DEPENDENT,
         direction_vectors={DirVec.star(problem.common_levels)},
     )
-    smin: Poly | None = Poly()
-    smax: Poly | None = Poly()
+    smin = smax = scan.constant(0)
     for _, coeff, upper in order[group_start:start]:
         smin, smax = _admit(coeff, upper, smin, smax, assumptions)
     fully_separated = False
@@ -292,232 +319,32 @@ def _scan(
             budget.charge()
         gk = suffix_gcd[k] if k < n else None  # None = infinity
         pre_smin, pre_smax = smin, smax
-        if gk is None:
-            r_display: Poly | None = c0
-        elif gk.is_zero():
-            r_display = c0
-        else:
-            r_display = _candidate_remainders(c0, gk)[0]
         barrier = _try_barrier(c0, smin, smax, gk, assumptions)
         held = (
             scan.depth > 0
             and barrier is not None
             and _holds_barrier(scan, group_start, k)
-            and not assumptions.is_pos(barrier[1])
-            and not assumptions.is_neg(barrier[2])
+            and not _is_pos(barrier[1], assumptions)
+            and not _is_neg(barrier[2], assumptions)
         )
         if held:
             barrier = None
-        if (
-            barrier is None
-            and gk is not None
-            and smin is not None
-            and smax is not None
-            and all(
-                p.is_constant()
-                for p in (c0, smin, smax, gk, suffix_gcd[group_start])
-            )
-        ):
-            split = _split(
-                scan, result, c0.as_int(), group_start, k,
-                smin.as_int(), smax.as_int(), gk.as_int(),
-                suffix_gcd[group_start].as_int(),
-                lambda c: _scan(scan, Poly.const(c), k, k + 1),
-            )
-            if split is not None:
-                return split
-        separated: LinExpr | None = None
-        note = ""
-        if barrier is not None:
-            r, cmin, cmax = barrier
-            if assumptions.is_pos(cmin) or assumptions.is_neg(cmax):
-                result.verdict = Verdict.INDEPENDENT
-                result.direction_vectors = set()
-                if keep_trace:
-                    result.trace.append(
-                        TraceRow(
-                            k + 1,
-                            order[k][1] if k < n else None,
-                            order[k][0] if k < n else None,
-                            pre_smin,
-                            pre_smax,
-                            gk,
-                            r,
-                            None,
-                            "independent: 0 not in [cmin, cmax]",
-                            depth=scan.depth,
-                        )
-                    )
-                return result
-            group_vars = order[group_start:k]
-            separated = LinExpr(
-                {name: coeff for name, coeff, _ in group_vars}, r
-            )
-            if group_vars or not r.is_zero():
-                solution = solve_group(separated, problem, budget=budget)
-                result.groups.append(solution)
-                result.dimensions_found += 1
-                if solution.verdict is Verdict.INDEPENDENT:
-                    result.verdict = Verdict.INDEPENDENT
-                    result.direction_vectors = set()
-                    if keep_trace:
-                        result.trace.append(
-                            TraceRow(
-                                k + 1,
-                                order[k][1] if k < n else None,
-                                order[k][0] if k < n else None,
-                                pre_smin,
-                                pre_smax,
-                                gk,
-                                r,
-                                separated,
-                                f"independent ({solution.method})",
-                                depth=scan.depth,
-                            )
-                        )
-                    return result
-                if solution.verdict is Verdict.MAYBE:
-                    result.verdict = Verdict.MAYBE
-                if solution.dirvecs is not None:
-                    result.direction_vectors = merge_direction_sets(
-                        result.direction_vectors, solution.dirvecs
-                    )
-                    if not result.direction_vectors:
-                        result.verdict = Verdict.INDEPENDENT
-                        return result
-                result.distances.update(solution.distances)
-                note = f"dimension separated ({solution.method})"
-            else:
-                separated = None
-                note = "empty group (gcd passes)"
-            smin = Poly()
-            smax = Poly()
-            group_start = k
-            c0 = c0 - r
-            if k == n:
-                fully_separated = True
-        if keep_trace:
-            result.trace.append(
-                TraceRow(
-                    k + 1,
-                    order[k][1] if k < n else None,
-                    order[k][0] if k < n else None,
-                    pre_smin,
-                    pre_smax,
-                    gk,
-                    barrier[0] if barrier is not None else r_display,
-                    separated,
-                    note or _no_barrier_note(barrier, held),
-                    depth=scan.depth,
-                )
-            )
-        if k < n:
-            _, coeff, upper = order[k]
-            smin, smax = _admit(coeff, upper, smin, smax, assumptions)
-
-    if result.verdict is Verdict.DEPENDENT and not fully_separated:
-        # Only exact when the scan separated the whole equation AND every
-        # group was solved exactly as DEPENDENT (a MAYBE group already made
-        # the verdict MAYBE); the Cartesian-product theorem then guarantees
-        # a full solution.
-        result.verdict = Verdict.MAYBE
-    return result
-
-
-def _delinearize_equation_int(
-    equation: LinExpr,
-    problem: DependenceProblem,
-    sort_coefficients: bool,
-    keep_trace: bool,
-    budget: Budget | None = None,
-) -> DelinearizationResult:
-    """Plain-integer specialization of the scan (identical semantics).
-
-    Concrete problems dominate in practice (every reference pair of a
-    program with constant loop bounds); running the scan on machine ints
-    avoids the polynomial wrappers entirely.  A differential property test
-    keeps this path in lock-step with the generic one.
-    """
-    order = [
-        (name, coeff.as_int(), problem.variables[name].upper.as_int())
-        for name, coeff in equation.coeffs.items()
-    ]
-    if sort_coefficients:
-        order.sort(key=lambda entry: abs(entry[1]))
-    n = len(order)
-
-    suffix_gcd = [0] * (n + 1)
-    acc = 0
-    for index in range(n - 1, -1, -1):
-        acc = math.gcd(acc, abs(order[index][1]))
-        suffix_gcd[index] = acc
-
-    scan = _Scan(order, suffix_gcd, problem, keep_trace, budget)
-    return _scan_int(scan, equation.const.as_int(), 0, 0)
-
-
-def _scan_int(
-    scan: _Scan, c0: int, group_start: int, start: int
-) -> DelinearizationResult:
-    """Integer twin of :func:`_scan` (kept in lock-step)."""
-    problem, order, suffix_gcd = scan.problem, scan.order, scan.suffix_gcd
-    keep_trace, budget = scan.keep_trace, scan.budget
-    n = len(order)
-    result = DelinearizationResult(
-        verdict=Verdict.DEPENDENT,
-        direction_vectors={DirVec.star(problem.common_levels)},
-    )
-    smin = smax = 0
-    for _, coeff, upper in order[group_start:start]:
-        if coeff > 0:
-            smax += coeff * upper
-        else:
-            smin += coeff * upper
-    fully_separated = False
-
-    for k in range(start, n + 1):
-        if budget is not None:
-            budget.charge()
-        gk = suffix_gcd[k] if k < n else None  # None = infinity
-        pre_smin, pre_smax = smin, smax
-        barrier: tuple[int, int, int] | None = None
-        held = False
-        if gk is None:
-            barrier = (c0, smin + c0, smax + c0)
-        elif gk == 0:
-            barrier = (c0, smin + c0, smax + c0)
-        else:
-            for r in _candidate_remainders_int(c0, gk):
-                cmin, cmax = smin + r, smax + r
-                if max(abs(cmin), abs(cmax)) < gk:
-                    barrier = (r, cmin, cmax)
-                    break
-            held = (
-                scan.depth > 0
-                and barrier is not None
-                and _holds_barrier(scan, group_start, k)
-                and barrier[1] <= 0 <= barrier[2]
-            )
-            if held:
-                barrier = None
-            if barrier is None:
-                split = _split(
-                    scan, result, c0, group_start, k, smin, smax, gk,
-                    suffix_gcd[group_start],
-                    lambda c: _scan_int(scan, c, k, k + 1),
-                )
+        if barrier is None and gk is not None:
+            ints = _as_ints(c0, smin, smax, gk, suffix_gcd[group_start])
+            if ints is not None:
+                split = _split(scan, result, group_start, k, *ints)
                 if split is not None:
                     return split
         separated: LinExpr | None = None
         note = ""
         if barrier is not None:
             r, cmin, cmax = barrier
-            if cmin > 0 or cmax < 0:
+            if _is_pos(cmin, assumptions) or _is_neg(cmax, assumptions):
                 result.verdict = Verdict.INDEPENDENT
                 result.direction_vectors = set()
                 if keep_trace:
                     result.trace.append(
-                        _int_trace_row(
+                        _trace_row(
                             scan, k, pre_smin, pre_smax, gk, r, None,
                             "independent: 0 not in [cmin, cmax]",
                         )
@@ -527,7 +354,7 @@ def _scan_int(
             separated = LinExpr(
                 {name: coeff for name, coeff, _ in group_vars}, r
             )
-            if group_vars or r != 0:
+            if group_vars or r:
                 solution = solve_group(separated, problem, budget=budget)
                 result.groups.append(solution)
                 result.dimensions_found += 1
@@ -536,7 +363,7 @@ def _scan_int(
                     result.direction_vectors = set()
                     if keep_trace:
                         result.trace.append(
-                            _int_trace_row(
+                            _trace_row(
                                 scan, k, pre_smin, pre_smax, gk, r,
                                 separated, f"independent ({solution.method})",
                             )
@@ -556,29 +383,31 @@ def _scan_int(
             else:
                 separated = None
                 note = "empty group (gcd passes)"
-            smin = smax = 0
+            smin = smax = scan.constant(0)
             group_start = k
-            c0 -= r
+            c0 = c0 - r
             if k == n:
                 fully_separated = True
         if keep_trace:
-            shown_r = barrier[0] if barrier is not None else (
-                c0 if gk in (None, 0) else _candidate_remainders_int(c0, gk)[0]
+            shown_r = (
+                _candidate_remainders(c0, gk)[0] if barrier is None
+                else barrier[0]
             )
             result.trace.append(
-                _int_trace_row(
-                    scan, k, pre_smin, pre_smax, gk, shown_r,
-                    separated, note or _no_barrier_note(barrier, held),
+                _trace_row(
+                    scan, k, pre_smin, pre_smax, gk, shown_r, separated,
+                    note or _no_barrier_note(barrier, held),
                 )
             )
         if k < n:
             _, coeff, upper = order[k]
-            if coeff > 0:
-                smax += coeff * upper
-            elif coeff < 0:
-                smin += coeff * upper
+            smin, smax = _admit(coeff, upper, smin, smax, assumptions)
 
     if result.verdict is Verdict.DEPENDENT and not fully_separated:
+        # Only exact when the scan separated the whole equation AND every
+        # group was solved exactly as DEPENDENT (a MAYBE group already made
+        # the verdict MAYBE); the Cartesian-product theorem then guarantees
+        # a full solution.
         result.verdict = Verdict.MAYBE
     return result
 
@@ -586,42 +415,34 @@ def _scan_int(
 def _split(
     scan: _Scan,
     result: DelinearizationResult,
-    c0: int,
     group_start: int,
     k: int,
+    c0: int,
     smin: int,
     smax: int,
     gk: int,
     group_gcd: int,
-    resume: Callable[[int], DelinearizationResult],
 ) -> DelinearizationResult | None:
     """Split the remainder at step ``k``, where no barrier holds, into cases.
 
-    Shared by both scans, which call it with plain ints.  The head sum
-    ``S = sum(order[group_start:k])`` ranges over ``[smin, smax]`` and
-    ``c0 + S`` must be a multiple of ``gk``, so every solution has ``S = v``
-    for exactly one ``v ≡ -c0 (mod gk)`` in that range.  Each such ``v`` is
-    one case: the head ``S - v = 0`` goes to the group solver and
-    ``resume(c0 + v)`` scans the rest from step ``k + 1``.  No such ``v``
-    proves independence.  The union of the cases is merged into ``result``
-    (the groups separated before ``group_start``), which is returned.
+    The scan calls it with plain ints, whenever its own values are integer
+    constants.  The head sum ``S = sum(order[group_start:k])`` ranges over
+    ``[smin, smax]`` and ``c0 + S`` must be a multiple of ``gk``, so every
+    solution has ``S = v`` for exactly one ``v ≡ -c0 (mod gk)`` in that
+    range.  Each such ``v`` is one case: the head ``S - v = 0`` goes to the
+    group solver and the rest is scanned from step ``k + 1`` with constant
+    ``c0 + v``.  No such ``v`` proves independence.  The union of the cases
+    is merged into ``result`` (the groups separated before ``group_start``),
+    which is returned.
 
-    Returns None, leaving ``result`` untouched, when the split does not
-    apply: ``gk`` must exceed ``group_gcd``, the gcd of the whole
-    unseparated group (otherwise the cases only peel single variables off),
-    and no level pair may have one variable before ``k`` and the other from
-    ``k`` on (its direction would be lost).  Before the first split of an
-    equation, :func:`_leaf_bound` sizes its whole case tree; past
-    :data:`SPLIT_CASE_LIMIT` or :data:`SPLIT_LEAF_LIMIT` the equation is
-    scanned on without splits.
+    Returns None, leaving ``result`` untouched, when :func:`_may_split`
+    refuses.  Before the first split of an equation, :func:`_leaf_bound`
+    sizes its whole case tree; past :data:`SPLIT_CASE_LIMIT` or
+    :data:`SPLIT_LEAF_LIMIT` the equation is scanned on without splits.
     """
-    if (
-        not scan.splitting
-        or gk <= group_gcd
-        or _separates_level_pair(scan, k)
-    ):
+    if not _may_split(scan, k, gk, group_gcd):
         return None
-    values = range(smin + (-c0 - smin) % gk, smax + 1, gk)
+    values = _head_values(c0, smin, smax, gk)
     if scan.depth == 0 and _leaf_bound(scan, k, values, c0) > SPLIT_LEAF_LIMIT:
         scan.splitting = False
         return None
@@ -644,7 +465,7 @@ def _split(
             groups.append(solution)
             case = None
             if solution.verdict is not Verdict.INDEPENDENT:
-                case = _resume(scan, k, c0 + v, resume)
+                case = _resume(scan, k, c0 + v)
             if scan.keep_trace:
                 note = f"case v={v}" + (
                     f" ({solution.method})"
@@ -652,8 +473,8 @@ def _split(
                     else f": independent ({solution.method})"
                 )
                 rows.append(
-                    _int_trace_row(scan, k, smin, smax, gk, -v,
-                                   solution.equation, note)
+                    _trace_row(scan, k, smin, smax, gk, -v,
+                               solution.equation, note)
                 )
             if case is None:
                 found = max(found, 1)
@@ -685,9 +506,9 @@ def _split(
     if scan.keep_trace:
         shown = ", ".join(str(v) for v in values)
         result.trace.append(
-            _int_trace_row(scan, k, smin, smax, gk, c0 % gk, None,
-                           f"split: v in {{{shown}}}",
-                           tuple(Poly.const(v) for v in values))
+            _trace_row(scan, k, smin, smax, gk, c0 % gk, None,
+                       f"split: v in {{{shown}}}",
+                       tuple(Poly.const(v) for v in values))
         )
         result.trace.extend(rows)
     result.groups.extend(groups)
@@ -708,6 +529,23 @@ def _split(
     return result
 
 
+def _may_split(scan: _Scan, k: int, gk: int, group_gcd: int) -> bool:
+    """May the scan split at step ``k``?  Not once a split was refused for
+    its size; ``gk`` must exceed ``group_gcd``, the gcd of the whole
+    unseparated group (else the cases only peel single variables off); and
+    no level pair may straddle ``k`` (its direction would be lost)."""
+    return (
+        scan.splitting
+        and gk > group_gcd
+        and not _separates_level_pair(scan, k)
+    )
+
+
+def _head_values(c0: int, smin: int, smax: int, gk: int) -> range:
+    """Every ``v ≡ -c0 (mod gk)`` in ``[smin, smax]``: a split's cases."""
+    return range(smin + (-c0 - smin) % gk, smax + 1, gk)
+
+
 def _leaf_bound(scan: _Scan, k: int, values: range, c0: int) -> int:
     """How many leaf cases splitting at step ``k`` into ``values`` makes.
 
@@ -717,13 +555,10 @@ def _leaf_bound(scan: _Scan, k: int, values: range, c0: int) -> int:
     symbolic term, counts as too many.  Stops counting past
     :data:`SPLIT_LEAF_LIMIT`.
     """
-    if not all(
-        isinstance(x, int) or x.is_constant()
-        for _, coeff, upper in scan.order
-        for x in (coeff, upper)
-    ):
+    terms = [_as_ints(coeff, upper) for _, coeff, upper in scan.order]
+    if None in terms:
         return SPLIT_LEAF_LIMIT + 1
-    return _LeafCount(scan).cases(k, values, c0)
+    return _LeafCount(scan, terms).cases(k, values, c0)
 
 
 class _LeafCount:
@@ -732,10 +567,10 @@ class _LeafCount:
 
     too_many = SPLIT_LEAF_LIMIT + 1
 
-    def __init__(self, scan: _Scan):
+    def __init__(self, scan: _Scan, terms: list[list[int]]):
         self.scan = scan
-        self.terms = [(_as_int(c), _as_int(u)) for _, c, u in scan.order]
-        self.suffix = [_as_int(g) for g in scan.suffix_gcd[: len(self.terms)]]
+        self.terms = terms
+        self.suffix = _as_ints(*scan.suffix_gcd)
         self.memo: dict[tuple[int, int], int] = {}
 
     def cases(self, k: int, values: range, c0: int) -> int:
@@ -754,39 +589,35 @@ class _LeafCount:
     def rest(self, group_start: int, c0: int) -> int:
         """Leaf cases of the rest after step ``group_start``."""
         scan, terms, suffix = self.scan, self.terms, self.suffix
-        coeff, upper = terms[group_start]
-        smin, smax = min(0, coeff * upper), max(0, coeff * upper)
+        assumptions = scan.problem.assumptions
+        smin, smax = _admit(*terms[group_start], 0, 0, assumptions)
         for j in range(group_start + 1, len(terms)):
             gk = suffix[j]
-            barrier = None
-            for r in _candidate_remainders_int(c0, gk):
-                if max(abs(smin + r), abs(smax + r)) < gk:
-                    barrier = r
-                    break
-            if barrier is not None and (
-                smin + barrier > 0 or smax + barrier < 0
-            ):
+            barrier = _try_barrier(c0, smin, smax, gk, assumptions)
+            if barrier is not None and (barrier[1] > 0 or barrier[2] < 0):
                 return 1
             if barrier is None or _holds_barrier(scan, group_start, j):
-                if gk > suffix[group_start] and not _separates_level_pair(
-                    scan, j
-                ):
-                    start = smin + (-c0 - smin) % gk
-                    return self.cases(j, range(start, smax + 1, gk), c0)
+                if _may_split(scan, j, gk, suffix[group_start]):
+                    values = _head_values(c0, smin, smax, gk)
+                    return self.cases(j, values, c0)
             else:
                 smin = smax = 0
                 group_start = j
-                c0 -= barrier
-            coeff, upper = terms[j]
-            if coeff > 0:
-                smax += coeff * upper
-            else:
-                smin += coeff * upper
+                c0 -= barrier[0]
+            smin, smax = _admit(*terms[j], smin, smax, assumptions)
         return 1
 
 
-def _as_int(value: int | Poly) -> int:
-    return value if isinstance(value, int) else value.as_int()
+def _as_ints(*values: int | Poly | None) -> list[int] | None:
+    """``values`` as plain ints; None unless all are integer constants."""
+    ints = []
+    for value in values:
+        if not isinstance(value, int):
+            if value is None or not value.is_constant():
+                return None
+            value = value.as_int()
+        ints.append(value)
+    return ints
 
 
 def _solve_head(scan: _Scan, head: LinExpr) -> GroupSolution:
@@ -797,17 +628,12 @@ def _solve_head(scan: _Scan, head: LinExpr) -> GroupSolution:
     return solution
 
 
-def _resume(
-    scan: _Scan,
-    k: int,
-    c0: int,
-    resume: Callable[[int], DelinearizationResult],
-) -> DelinearizationResult:
-    """``resume(c0)``, the rest after step ``k``, done once per constant."""
+def _resume(scan: _Scan, k: int, c0: int) -> DelinearizationResult:
+    """The rest after step ``k`` with constant ``c0``, scanned once."""
     key = (k, c0, scan.depth)
     case = scan.rests.get(key)
     if case is None:
-        case = scan.rests[key] = resume(c0)
+        case = scan.rests[key] = _scan(scan, scan.constant(c0), k, k + 1)
     return case
 
 
@@ -845,49 +671,54 @@ def _separates_level_pair(scan: _Scan, k: int) -> bool:
     return any((a < k) != (b < k) for a, b in scan.pair_positions)
 
 
-def _candidate_remainders_int(c0: int, gk: int) -> tuple[int, ...]:
-    """Integer twin of :func:`_candidate_remainders` (kept in lock-step)."""
-    r = c0 % gk
-    if r == 0:
-        return (0,)
-    return (r, r - gk)
-
-
-def _int_trace_row(
+def _trace_row(
     scan: _Scan,
     k: int,
-    smin: int,
-    smax: int,
-    gk: int | None,
-    r: int | None,
+    smin: int | Poly | None,
+    smax: int | Poly | None,
+    gk: int | Poly | None,
+    r: int | Poly,
     separated: LinExpr | None,
     note: str,
     cases: tuple[Poly, ...] = (),
 ) -> TraceRow:
-    """A trace row from plain ints (split rows of the generic scan too)."""
+    """The trace row of step ``k``; plain ints (an int scan's or a split's)
+    become polynomials."""
     order, n = scan.order, len(scan.order)
+    if isinstance(smin, int):
+        smin, smax, r = Poly.const(smin), Poly.const(smax), Poly.const(r)
+        gk = None if gk is None else Poly.const(gk)
     return TraceRow(
         k + 1,
         Poly.coerce(order[k][1]) if k < n else None,
         order[k][0] if k < n else None,
-        Poly.const(smin),
-        Poly.const(smax),
-        None if gk is None else Poly.const(gk),
-        None if r is None else Poly.const(r),
-        separated,
-        note,
+        smin, smax, gk, r, separated, note,
         depth=scan.depth,
         cases=cases,
     )
 
 
+def _is_pos(value: int | Poly, assumptions: Assumptions) -> bool:
+    """Is ``value`` provably positive?"""
+    if isinstance(value, int):
+        return value > 0
+    return bool(assumptions.is_pos(value))
+
+
+def _is_neg(value: int | Poly, assumptions: Assumptions) -> bool:
+    """Is ``value`` provably negative?"""
+    if isinstance(value, int):
+        return value < 0
+    return bool(assumptions.is_neg(value))
+
+
 def _try_barrier(
-    c0: Poly,
-    smin: Poly | None,
-    smax: Poly | None,
-    gk: Poly | None,
+    c0: int | Poly,
+    smin: int | Poly | None,
+    smax: int | Poly | None,
+    gk: int | Poly | None,
     assumptions: Assumptions,
-) -> tuple[Poly, Poly, Poly] | None:
+) -> tuple[int | Poly, int | Poly, int | Poly] | None:
     """Check the theorem condition; returns (r, cmin, cmax) on success.
 
     ``gk is None`` encodes the infinite gcd of the final iteration: the
@@ -901,37 +732,54 @@ def _try_barrier(
         cmin = smin + r
         cmax = smax + r
         # max(|cmin|, |cmax|) < gk  <=>  cmax < gk and -gk < cmin.
-        if assumptions.is_lt(cmax, gk) and assumptions.is_lt(-gk, cmin):
+        if isinstance(r, int):
+            ok = cmax < gk and -gk < cmin
+        else:
+            ok = assumptions.is_lt(cmax, gk) and assumptions.is_lt(-gk, cmin)
+        if ok:
             return r, cmin, cmax
     return None
 
 
-def _candidate_remainders(c0: Poly, gk: Poly) -> list[Poly]:
+def _candidate_remainders(
+    c0: int | Poly, gk: int | Poly
+) -> list[int | Poly]:
     """Decompositions ``c0 = (c0 - r) + r`` with ``gk`` dividing ``c0 - r``.
 
     The canonical remainder is tried first, then the least-absolute
     representative ``r - gk`` (needed e.g. for ``-110 mod 100``: the paper's
     Figure-5 trace separates ``10*j1 - 10*i2 - 10``, which requires
-    ``r = -10`` rather than ``+90``).
+    ``r = -10`` rather than ``+90``).  A zero or infinite (None) ``gk``
+    leaves ``c0`` whole.
     """
-    if gk.is_zero():
+    if not gk:
         return [c0]
-    _, r = c0.divmod_single(gk)
-    if r.is_zero():
+    r = c0 % gk if isinstance(c0, int) else c0.divmod_single(gk)[1]
+    if not r:
         return [r]
     return [r, r - gk]
 
 
 def _admit(
-    coeff: Poly,
-    upper: Poly,
-    smin: Poly | None,
-    smax: Poly | None,
+    coeff: int | Poly,
+    upper: int | Poly,
+    smin: int | Poly | None,
+    smax: int | Poly | None,
     assumptions: Assumptions,
-) -> tuple[Poly | None, Poly | None]:
-    """Extend the running extremes with ``coeff * z``, ``z in [0, upper]``."""
+) -> tuple[int | Poly | None, int | Poly | None]:
+    """Extend the running extremes with ``coeff * z``, ``z in [0, upper]``.
+
+    An upper bound not proven nonnegative or a coefficient of unknown sign
+    poisons the extremes (None, None).
+    """
     if smin is None or smax is None:
         return None, None
+    if isinstance(coeff, int):
+        if upper < 0:
+            return None, None
+        if coeff > 0:
+            return smin, smax + coeff * upper
+        return smin + coeff * upper, smax
     if assumptions.is_nonneg(upper) is None:
         return None, None
     sign = assumptions.sign(coeff)

@@ -13,8 +13,7 @@ unequal coefficients.  On each one the answer must be
   GCD + Banerjee refinement of the whole equation, where the unsplit scan
   usually ended.  The second comparison skips problems on which a barrier
   outside any case already separates a level pair: the unsplit scan does
-  that too, and reports ``*`` at that level;
-* the same, trace included, on the integer fast path and the generic scan.
+  that too, and reports ``*`` at that level.
 """
 
 from importlib import import_module
@@ -138,16 +137,3 @@ def test_split_is_at_least_as_precise_as_refinement(
         assert result.verdict is Verdict.INDEPENDENT
     if result.verdict is not Verdict.INDEPENDENT:
         assert _atoms(result.direction_vectors) <= _atoms(refined.dirvecs)
-
-
-@given(split_problems())
-@settings(max_examples=100, deadline=None)
-def test_split_traces_match_on_both_paths(problem: DependenceProblem):
-    """The integer fast path and the generic scan split alike."""
-    fast = delinearize(problem, keep_trace=True, use_fast_path=True)
-    assume(_splits(fast))
-    generic = delinearize(problem, keep_trace=True, use_fast_path=False)
-    assert fast.format_trace() == generic.format_trace()
-    assert fast.verdict is generic.verdict
-    assert fast.direction_vectors == generic.direction_vectors
-    assert fast.distances == generic.distances

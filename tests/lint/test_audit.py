@@ -269,16 +269,12 @@ class TestSplitAudit:
         from importlib import import_module
 
         scan_module = import_module("repro.core.delinearize")
-        split = scan_module._split
+        resume = scan_module._resume
 
-        def shifted(scan, result, c0, group_start, k, smin, smax, gk,
-                    group_gcd, resume):
-            return split(
-                scan, result, c0, group_start, k, smin, smax, gk, group_gcd,
-                lambda c: resume(c + gk),
-            )
+        def shifted(scan, k, c0):
+            return resume(scan, k, c0 + scan.suffix_gcd[k])
 
-        monkeypatch.setattr(scan_module, "_split", shifted)
+        monkeypatch.setattr(scan_module, "_resume", shifted)
         result = delinearize(THREE_LEVEL, keep_trace=True)
         codes = {d.code for d in audit_result(THREE_LEVEL, result)}
         assert {"DS001", "DS005"} <= codes

@@ -262,3 +262,38 @@ class TestSplitLeafCap:
         assert result.direction_vectors == unsplit.direction_vectors
         # Timing noise is real; only insist on a loose margin.
         assert split_time <= unsplit_time * 1.5
+
+
+class TestEmptyLoopRange:
+    """``DO 1 i = 5, 3`` once drew four false DS001 errors from ``repro
+    lint`` next to its DL007.  For ``a - b = 0`` with ``a, b in [0, -1]``
+    the integer scan answered INDEPENDENT from inverted extremes
+    (``smin=1 smax=-1``), while the generic scan, and the audit's replay
+    with it, could prove nothing over a negative bound and rejected that
+    trace.  A negative constant upper bound now empties the iteration box
+    before any scan."""
+
+    SOURCE = "REAL A(0:99)\nDO 1 i = 5, 3\n1 A(i) = A(i) + 1\n"
+
+    def test_empty_box_is_independent_before_the_scan(self):
+        from repro.lint.audit import audit_result
+
+        problem = DependenceProblem.single(
+            {"a": 1, "b": -1}, 0, {"a": -1, "b": -1}, pairs=[("a", "b")]
+        )
+        result = delinearize(problem, keep_trace=True)
+        assert result.verdict is Verdict.INDEPENDENT
+        assert result.groups == [] and result.dimensions_found == 0
+        assert result.format_trace() == (
+            "k=1: c=- smin=None smax=None g=inf r=None  "
+            "[empty range: a in [0, -1]]"
+        )
+        assert audit_result(problem, result) == []
+        for sort in (True, False):
+            assert delinearize(problem, sort_coefficients=sort).independent
+
+    def test_lint_reports_only_the_empty_range(self):
+        from repro.lint import lint_source
+
+        report = lint_source(self.SOURCE)
+        assert [d.code for d in report.diagnostics] == ["DL007"]
