@@ -123,7 +123,7 @@ def solver_problems(shapes: int, copies: int) -> list[DependenceProblem]:
     return problems
 
 
-def bench(quick: bool, repeats: int, cache_dir: str | None) -> dict:
+def bench(quick: bool, repeats: int) -> dict:
     statements = 6 if quick else 20
     program = normalize_program(parse_fortran(corpus_source(statements)))
     pairs = len(reference_pairs(program))
@@ -143,17 +143,6 @@ def bench(quick: bool, repeats: int, cache_dir: str | None) -> dict:
     timings["serial_warm"] = best_of(
         repeats, lambda: analyze_dependences(program, cache=warm, **kwargs)
     )
-    if cache_dir:
-        # Persistent warm-up: a fresh in-memory cache loaded from disk.
-        analyze_dependences(
-            program, cache=ProblemCache(), cache_dir=cache_dir, **kwargs
-        )
-        timings["persistent_warm"] = best_of(
-            repeats,
-            lambda: analyze_dependences(
-                program, cache=ProblemCache(), cache_dir=cache_dir, **kwargs
-            ),
-        )
 
     problems = solver_problems(4 if quick else 12, 8)
     timings["solver_nocache"] = best_of(
@@ -243,9 +232,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=None, help="best-of repeats per leg"
     )
-    parser.add_argument(
-        "--cache-dir", help="also bench persistent warm-up through this dir"
-    )
     parser.add_argument("--output", help="write the result JSON here")
     parser.add_argument(
         "--check", metavar="BASELINE", help="gate ratios against a baseline"
@@ -253,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (1 if args.quick else 3)
-    result = bench(args.quick, repeats, args.cache_dir)
+    result = bench(args.quick, repeats)
     print(json.dumps(result, indent=2))
     report_targets(result)
     if args.output:

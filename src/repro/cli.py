@@ -94,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output dialect (FORTRAN-90 sections or C with pragmas)",
     )
     vectorize.add_argument(
-        "--verify",
-        action="store_true",
-        help="statically verify the schedule against the dependence graph "
-        "(the default)",
-    )
-    vectorize.add_argument(
         "--no-verify",
         action="store_true",
         help="skip schedule verification",
@@ -124,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="static rank/bounds diagnostics for a program"
     )
-    _add_source_args(check)
+    _add_source_args(check, analysis=False)
     check.set_defaults(handler=_cmd_check)
 
     lint = sub.add_parser(
@@ -235,14 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "conservative RS006-degraded answer (default: 30)",
     )
     serve.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="persistent problem cache shared by the workers "
-        "(flock-guarded, corruption-tolerant)",
-    )
-    serve.add_argument(
         "--strict",
         action="store_true",
         help="workers re-raise internal analysis errors (reported as "
@@ -269,8 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_source_args(
-    parser: argparse.ArgumentParser, multiple: bool = False
+    parser: argparse.ArgumentParser,
+    multiple: bool = False,
+    analysis: bool = True,
 ) -> None:
+    """The input flags; ``analysis`` adds the dependence-analysis knobs."""
     if multiple:
         parser.add_argument("files", type=Path, nargs="+", metavar="file")
     else:
@@ -281,40 +270,32 @@ def _add_source_args(
     parser.add_argument(
         "--assume", default="", help="symbol lower bounds, e.g. 'N=2'"
     )
-    parser.add_argument(
-        "--no-derived-bounds",
-        action="store_true",
-        help="do not infer assumptions from declarations and value ranges",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="re-raise internal analysis errors instead of degrading to "
-        "conservative fallbacks (recommended in CI)",
-    )
-    if multiple:
+    if analysis:
         parser.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="lint several files on N worker processes; output is "
-            "identical for any N (default: 1)",
+            "--no-derived-bounds",
+            action="store_true",
+            help="do not infer assumptions from declarations and value ranges",
         )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="persist the problem cache under DIR so repeated "
-        "runs are warm (invalidated automatically when analysis code "
-        "changes)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the problem cache (solve every pair fresh)",
-    )
+        parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="re-raise internal analysis errors instead of degrading to "
+            "conservative fallbacks (recommended in CI)",
+        )
+        if multiple:
+            parser.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                metavar="N",
+                help="lint several files on N worker processes; output is "
+                "identical for any N (default: 1)",
+            )
+        parser.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="disable the problem cache (solve every pair fresh)",
+        )
     parser.add_argument(
         "--chaos-seed",
         type=int,
@@ -345,11 +326,7 @@ def _language_of(args) -> str:
 
 def _perf_options(args) -> dict:
     """The dependence-analysis performance knobs shared by every command."""
-    cache_dir = getattr(args, "cache_dir", None)
-    return {
-        "use_cache": not getattr(args, "no_cache", False),
-        "cache_dir": None if cache_dir is None else str(cache_dir),
-    }
+    return {"use_cache": not args.no_cache}
 
 
 def _compile(args, verify: bool = True):
@@ -600,7 +577,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         queue_size=args.queue,
         deadline_seconds=args.deadline,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         strict=args.strict,
     )
     # main() already installed the chaos state (flags or environment); the

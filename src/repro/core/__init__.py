@@ -7,7 +7,6 @@ from .cache import (
     cached_delinearize,
     clear_all,
     default_cache,
-    schema_hash,
 )
 from .delinearize import (
     DelinearizationResult,
@@ -32,7 +31,6 @@ __all__ = [
     "cached_delinearize",
     "clear_all",
     "default_cache",
-    "schema_hash",
     "SplitCandidate",
     "TraceRow",
     "condition_holds",

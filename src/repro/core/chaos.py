@@ -46,7 +46,6 @@ SITES: dict[str, str] = {
     "schedule.verify": "verify_schedule entry (lint/schedule.py)",
     "server.spawn": "analysis-worker spawn (server/supervisor.py)",
     "server.dispatch": "request dispatch to a worker (server/daemon.py)",
-    "server.cache_lock": "persistent-cache lock acquisition (core/cache.py)",
     "server.invalidate": "incremental invalidation (server/incremental.py)",
 }
 

@@ -405,7 +405,6 @@ def analyze_dependences(
     pair_budget: int | None = DEFAULT_PAIR_BUDGET,
     use_cache: bool = True,
     cache: ProblemCache | None = None,
-    cache_dir: str | None = None,
     outcome_cache=None,
     deadline: float | None = None,
 ) -> DependenceGraph:
@@ -437,8 +436,6 @@ def analyze_dependences(
       (:mod:`repro.core.cache`); the process-wide default cache unless
       an explicit :class:`ProblemCache` is given.  ``use_cache=False``
       solves every pair from scratch, and so does ``audit=True``.
-    * ``cache_dir`` — warm the cache from (and persist it to) an on-disk
-      pickle keyed by the deptest schema hash; unused when no cache is.
 
     Server extensions:
 
@@ -475,8 +472,6 @@ def analyze_dependences(
         problem_cache = cache
     else:
         problem_cache = default_cache() if use_cache else None
-    if problem_cache is not None and cache_dir is not None:
-        problem_cache.load_disk(cache_dir)
 
     perf = GraphPerf(pairs=len(pairs), batches=1 if pairs else 0)
     fingerprints: list[str] | None = None
@@ -540,8 +535,6 @@ def analyze_dependences(
         if outcome.verdict == "degraded":
             perf.degraded_pairs += 1
 
-    if problem_cache is not None and cache_dir is not None:
-        problem_cache.save_disk(cache_dir)
     graph.degradations = sort_diagnostics(degradations)
     graph.alias_diagnostics = alias_diagnostics
     if audit:

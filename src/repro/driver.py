@@ -201,14 +201,12 @@ class CompilationReport:
 def compile_fortran(
     source: str,
     assumptions: Assumptions | None = None,
-    substitute_ivs: bool = True,
     audit: bool = False,
     derive_bounds: bool = True,
     verify: bool = True,
     strict: bool = False,
     jobs: int = 1,
     use_cache: bool = True,
-    cache_dir: str | None = None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Run the whole pipeline on FORTRAN source text.
@@ -222,8 +220,8 @@ def compile_fortran(
     ``strict=True`` re-raises internal errors instead of degrading phases
     conservatively (budget exhaustion still degrades — giving up on an
     oversized dependence system is a designed outcome, not a bug).
-    ``use_cache`` and ``cache_dir`` are the dependence-analysis performance
-    knobs (see :func:`repro.depgraph.analyze_dependences`); the report is
+    ``use_cache`` is the dependence-analysis performance knob (see
+    :func:`repro.depgraph.analyze_dependences`); the report is
     byte-identical for every setting, only ``report.perf`` varies.
     ``jobs`` is accepted and ignored: pairs are always evaluated in-process,
     and the keyword stays only because the committed benchmark
@@ -239,7 +237,7 @@ def compile_fortran(
         "normalize", lambda: normalize_program(program), lambda: program
     )
     phases.append("normalize")
-    if substitute_ivs and not barrier.failed_phases:
+    if not barrier.failed_phases:
         base = program
         rewritten = barrier.run(
             "induction-variables",
@@ -277,7 +275,6 @@ def compile_fortran(
         verify=verify,
         strict=strict,
         use_cache=use_cache,
-        cache_dir=cache_dir,
         deadline=deadline,
     )
 
@@ -290,12 +287,11 @@ def compile_c(
     verify: bool = True,
     strict: bool = False,
     use_cache: bool = True,
-    cache_dir: str | None = None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Run the whole pipeline on C source text (see :func:`compile_fortran`
     for the ``audit``, ``derive_bounds``, ``verify``, ``strict`` and
-    ``use_cache``/``cache_dir`` flags)."""
+    ``use_cache`` flags)."""
     barrier = _TimedBarrier(strict=strict)
     phases = ["parse"]
     parse_started = time.perf_counter()
@@ -328,7 +324,6 @@ def compile_c(
         verify=verify,
         strict=strict,
         use_cache=use_cache,
-        cache_dir=cache_dir,
         deadline=deadline,
     )
 
@@ -346,7 +341,6 @@ def _back_half(
     verify: bool,
     strict: bool,
     use_cache: bool = True,
-    cache_dir: str | None = None,
     deadline: float | None = None,
 ) -> CompilationReport:
     """Dependence analysis through emission, each phase barriered.
@@ -379,7 +373,6 @@ def _back_half(
                 derive_bounds=derive_bounds,
                 strict=strict,
                 use_cache=use_cache,
-                cache_dir=cache_dir,
                 deadline=deadline,
             ),
             lambda: conservative_graph(program),

@@ -84,7 +84,6 @@ def lint_source(
     strict: bool = False,
     jobs: int = 1,
     use_cache: bool = True,
-    cache_dir: str | None = None,
     outcome_cache=None,
     deadline: float | None = None,
 ) -> LintReport:
@@ -96,7 +95,7 @@ def lint_source(
     additionally vectorizes the program and statically verifies the
     resulting schedule (``VR`` codes).  ``strict=True`` re-raises internal
     errors in the graph passes instead of degrading conservatively.
-    ``use_cache``/``cache_dir`` tune the dependence-analysis pass (see
+    ``use_cache`` tunes the dependence-analysis pass (see
     :func:`repro.depgraph.analyze_dependences`) without changing its result.
     ``outcome_cache``/``deadline`` are the resident-server knobs
     (pair-outcome replay and per-request wall-clock deadline; same
@@ -152,7 +151,7 @@ def lint_source(
     if (audit or schedule) and max_severity(diags) != codes.ERROR:
         diags += _graph_passes(
             normalized, assumptions, report, ranges,
-            audit, schedule, strict, use_cache, cache_dir,
+            audit, schedule, strict, use_cache,
             outcome_cache, deadline,
         )
     report.diagnostics = sort_diagnostics(diags)
@@ -184,7 +183,6 @@ def _graph_passes(
     schedule: bool = False,
     strict: bool = False,
     use_cache: bool = True,
-    cache_dir: str | None = None,
     outcome_cache=None,
     deadline: float | None = None,
 ) -> list[Diagnostic]:
@@ -214,7 +212,6 @@ def _graph_passes(
             derive_bounds=derive_bounds,
             strict=strict,
             use_cache=use_cache,
-            cache_dir=cache_dir,
             outcome_cache=outcome_cache,
             deadline=deadline,
         ),

@@ -63,7 +63,6 @@ class ServerConfig:
     #: metered phases gracefully, the supervisor's hard kill covers
     #: unmetered ones.
     grace_seconds: float = 2.0
-    cache_dir: str | None = None
     strict: bool = False
     backoff_base: float = 0.05
     backoff_max: float = 2.0
@@ -82,7 +81,6 @@ class AnalysisServer:
         self.chaos = chaos
         worldview = WorkerWorldview(
             strict=self.config.strict,
-            cache_dir=self.config.cache_dir,
             chaos_seed=None if chaos is None else chaos.seed,
             chaos_rate=0.05 if chaos is None else chaos.rate,
             chaos_sites=None if chaos is None else chaos.sites,

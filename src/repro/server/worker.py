@@ -34,7 +34,6 @@ class WorkerWorldview:
     """Everything a worker inherits from the server, picklable."""
 
     strict: bool = False
-    cache_dir: str | None = None
     chaos_seed: int | None = None
     chaos_rate: float = 0.05
     chaos_sites: frozenset | None = None
@@ -122,7 +121,6 @@ def _run_lint(job: dict, config: WorkerWorldview, chaos_active: bool) -> dict:
         schedule=job.get("schedule", False),
         strict=config.strict,
         use_cache=True,
-        cache_dir=config.cache_dir,
         outcome_cache=outcome_cache,
         deadline=_deadline_for(job),
     )
@@ -159,7 +157,6 @@ def _run_vectorize(job: dict, config: WorkerWorldview) -> dict:
         verify=not job.get("no_verify", False),
         strict=config.strict,
         use_cache=True,
-        cache_dir=config.cache_dir,
         deadline=_deadline_for(job),
     )
     from ..vectorizer import emit_c_program, emit_program

@@ -1,9 +1,7 @@
-"""The problem cache: its key, LRU behaviour, persistence, its safety
-bypasses, and byte-identical dependence graphs with the cache on, off, cold
-or warm."""
+"""The problem cache: its key, LRU behaviour, its safety bypasses, and
+byte-identical dependence graphs with the cache on, off, cold or warm."""
 
 import gc
-import pickle
 import weakref
 
 import pytest
@@ -12,22 +10,18 @@ from hypothesis import strategies as st
 
 from repro.core import delinearize
 from repro.core.cache import (
-    PICKLE_VERSION,
     CachedOutcome,
     ProblemCache,
     cached_delinearize,
     clear_all,
     default_cache,
-    persistent_path,
     problem_key,
-    schema_hash,
 )
 from repro.core.chaos import chaos
 from repro.core.resilience import Budget, BudgetExhausted
 from repro.depgraph import analyze_dependences
 from repro.deptests import BoundedVar, DependenceProblem
 from repro.frontend import parse_fortran
-from repro.lint import lint_source
 from repro.symbolic import Assumptions, LinExpr, Poly
 from repro.symbolic.poly import _poly_gcd_cached, poly_gcd
 
@@ -112,9 +106,9 @@ class TestKey:
         assert problem_key(a) == problem_key(b)
 
     def test_key_holds_only_plain_values(self):
-        # A Poly pickles the hash it cached in its own process, so a key
-        # holding one would never match after a reload.  None marks an
-        # absent level, side or interval bound.
+        # A Poly equals the int it holds but hashes differently, so a key
+        # holding one could disagree with itself.  None marks an absent
+        # level, side or interval bound.
         n = Poly.symbol("n")
         problem = two_level(
             const=n + 3, assumptions=Assumptions.empty().with_bound("n", 1)
@@ -260,129 +254,6 @@ class TestClearAll:
         assert _poly_gcd_cached.cache_info().currsize == 0
 
 
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        cache = ProblemCache()
-        key, outcome = entry_for(two_level(const=-12))
-        cache.store(key, outcome)
-        assert cache.save_disk(tmp_path) == 1
-        warm = ProblemCache()
-        assert warm.load_disk(tmp_path) == 1
-        assert warm.stats.loaded == 1
-        assert warm.lookup(key) == outcome
-
-    def test_save_merges_with_existing_file(self, tmp_path):
-        first, second = ProblemCache(), ProblemCache()
-        key1, outcome1 = entry_for(two_level(const=1))
-        key2, outcome2 = entry_for(two_level(const=2))
-        first.store(key1, outcome1)
-        second.store(key2, outcome2)
-        first.save_disk(tmp_path)
-        assert second.save_disk(tmp_path) == 2  # both survive
-        warm = ProblemCache()
-        assert warm.load_disk(tmp_path) == 2
-
-    def test_path_is_schema_versioned(self, tmp_path):
-        assert schema_hash() in persistent_path(tmp_path).name
-
-    def test_wrong_pickle_version_is_ignored(self, tmp_path):
-        path = persistent_path(tmp_path)
-        path.write_bytes(
-            pickle.dumps({"version": PICKLE_VERSION + 1, "entries": {"k": 1}})
-        )
-        assert ProblemCache().load_disk(tmp_path) == 0
-
-    def test_corrupt_file_is_ignored(self, tmp_path):
-        persistent_path(tmp_path).write_bytes(b"not a pickle")
-        assert ProblemCache().load_disk(tmp_path) == 0
-
-    def test_missing_dir_is_ignored(self, tmp_path):
-        assert ProblemCache().load_disk(tmp_path / "nope") == 0
-
-
-class TestCrashSafety:
-    """Corruption quarantine and the concurrent-writer lock (PR 7)."""
-
-    def test_corrupt_file_is_quarantined_and_counted(self, tmp_path):
-        path = persistent_path(tmp_path)
-        path.write_bytes(b"not a pickle")
-        cache = ProblemCache()
-        assert cache.load_disk(tmp_path) == 0
-        assert cache.stats.corrupt == 1
-        assert not path.exists()  # deleted: can never poison a later load
-
-    def test_truncated_pickle_is_quarantined(self, tmp_path):
-        good = ProblemCache()
-        key, outcome = entry_for(two_level(const=3))
-        good.store(key, outcome)
-        good.save_disk(tmp_path)
-        path = persistent_path(tmp_path)
-        path.write_bytes(path.read_bytes()[:-7])  # a writer killed mid-write
-        cache = ProblemCache()
-        assert cache.load_disk(tmp_path) == 0
-        assert cache.stats.corrupt == 1
-        assert not path.exists()
-
-    def test_wrong_schema_payload_is_quarantined(self, tmp_path):
-        path = persistent_path(tmp_path)
-        path.write_bytes(pickle.dumps(["not", "a", "dict"]))
-        cache = ProblemCache()
-        assert cache.load_disk(tmp_path) == 0
-        assert cache.stats.corrupt == 1
-        assert not path.exists()
-
-    def test_quarantine_then_save_recovers(self, tmp_path):
-        persistent_path(tmp_path).write_bytes(b"garbage")
-        cache = ProblemCache()
-        cache.load_disk(tmp_path)
-        key, outcome = entry_for(two_level(const=4))
-        cache.store(key, outcome)
-        assert cache.save_disk(tmp_path) == 1
-        warm = ProblemCache()
-        assert warm.load_disk(tmp_path) == 1
-
-    def test_save_over_corrupt_file_overwrites_it(self, tmp_path):
-        persistent_path(tmp_path).write_bytes(b"garbage")
-        cache = ProblemCache()
-        key, outcome = entry_for(two_level(const=5))
-        cache.store(key, outcome)
-        assert cache.save_disk(tmp_path) == 1
-        assert cache.stats.corrupt == 1
-        assert ProblemCache().load_disk(tmp_path) == 1
-
-    def test_lock_file_guards_the_data_file(self, tmp_path):
-        cache = ProblemCache()
-        key, outcome = entry_for(two_level(const=6))
-        cache.store(key, outcome)
-        cache.save_disk(tmp_path)
-        path = persistent_path(tmp_path)
-        assert path.with_name(path.name + ".lock").exists()
-
-    def test_lock_fault_degrades_to_cold_cache(self, tmp_path):
-        cache = ProblemCache()
-        key, outcome = entry_for(two_level(const=7))
-        cache.store(key, outcome)
-        cache.save_disk(tmp_path)
-        faulty = ProblemCache()
-        with chaos(1, rate=1.0, sites={"server.cache_lock"}):
-            assert faulty.load_disk(tmp_path) == 0
-            assert faulty.save_disk(tmp_path) == 0
-        assert faulty.stats.lock_faults == 2
-        # The on-disk file was untouched by the failed save.
-        assert ProblemCache().load_disk(tmp_path) == 1
-
-    def test_concurrent_style_merge_under_lock(self, tmp_path):
-        writers = []
-        for const in (1, 2, 3):
-            cache = ProblemCache()
-            key, outcome = entry_for(two_level(const=const))
-            cache.store(key, outcome)
-            writers.append(cache)
-        for cache in writers:
-            cache.save_disk(tmp_path)
-        assert ProblemCache().load_disk(tmp_path) == 3
-
-
 class TestBypasses:
     def test_chaos_active_bypasses_the_cache(self):
         cache = ProblemCache()
@@ -399,14 +270,6 @@ class TestBypasses:
         result = cached_delinearize(problem, cache=cache, keep_trace=True)
         assert result.trace  # a replay could not have produced this
         assert cache.stats.hits == 0
-
-    def test_audited_lint_leaves_cache_dir_untouched(self, tmp_path):
-        # The audit bypasses every lookup, so it must not load or rewrite
-        # the persistent file (or take its lock) either.
-        lint_source(FIGURE3, cache_dir=str(tmp_path))
-        assert list(tmp_path.iterdir()) == []
-        lint_source(FIGURE3, audit=False, schedule=True, cache_dir=str(tmp_path))
-        assert ProblemCache().load_disk(tmp_path) > 0
 
     def test_no_cache_is_plain_delinearize(self):
         problem = two_level(const=-12)
@@ -461,15 +324,16 @@ def fingerprint(graph):
 
 class TestGraphByteIdentity:
     """The cache is invisible: a graph is the same, byte for byte, with the
-    cache on or off, cold or warm, in memory or on disk."""
+    cache on or off, cold or warm."""
 
     def test_cache_off_matches_cache_on(self):
+        # Unaudited: an audited build selects no cache, so both legs would
+        # solve every pair from scratch.
         with_cache = analyze_dependences(
-            parse_fortran(FIGURE3), audit=True, cache=ProblemCache()
+            parse_fortran(FIGURE3), cache=ProblemCache()
         )
-        without = analyze_dependences(
-            parse_fortran(FIGURE3), audit=True, use_cache=False
-        )
+        without = analyze_dependences(parse_fortran(FIGURE3), use_cache=False)
+        assert with_cache.perf.cache_hits > 0
         assert fingerprint(with_cache) == fingerprint(without)
 
     def test_warm_cache_matches_cold(self):
@@ -485,14 +349,3 @@ class TestGraphByteIdentity:
         # already hit intra-run the first time (pairs of one nest produce
         # identical equations).
         assert warm.perf.cache_hits == cold.perf.cache_hits + cold.perf.cache_misses
-
-    def test_persistent_dir_warms_a_fresh_cache(self, tmp_path):
-        program = parse_fortran(FIGURE3)
-        first = analyze_dependences(
-            program, cache=ProblemCache(), cache_dir=tmp_path
-        )
-        second = analyze_dependences(
-            program, cache=ProblemCache(), cache_dir=tmp_path
-        )
-        assert fingerprint(first) == fingerprint(second)
-        assert second.perf.cache_misses == 0

@@ -177,10 +177,7 @@ def _linearized_3d():
 
 def _site_trigger(site, intro_equation):
     """An operation that reaches the given injection site."""
-    import tempfile
-
     from repro.core import delinearize
-    from repro.core.cache import ProblemCache
     from repro.depgraph import analyze_dependences
     from repro.frontend import parse_fortran
     from repro.server.incremental import Document
@@ -215,9 +212,6 @@ def _site_trigger(site, intro_equation):
             {"kind": "ping", "id": 1}, 5.0
         ),
         "server.dispatch": _serve_one_lint,
-        "server.cache_lock": lambda: ProblemCache().load_disk(
-            tempfile.mkdtemp()
-        ),
         "server.invalidate": lambda: Document(uri="t.f", text="a").apply_change(
             "b", 1
         ),

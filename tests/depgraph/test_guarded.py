@@ -1,6 +1,5 @@
 """Guarded (control-dependence-qualified) edges and CALL-translated refs."""
 
-from repro.core.cache import _SCHEMA_MODULES, schema_hash
 from repro.depgraph import (
     analyze_dependences,
     control_diagnostics,
@@ -141,13 +140,3 @@ class TestCallEdges:
         graph = analyze_dependences(parse_fortran(source))
         assert any(e.assumed for e in graph.edges)
         assert any(d.code == "RS003" for d in graph.alias_diagnostics)
-
-
-class TestCacheSchema:
-    def test_verdict_defining_modules_hashed(self):
-        assert "repro.analysis.interproc" in _SCHEMA_MODULES
-        assert "repro.lint.dataflow" in _SCHEMA_MODULES
-        assert "repro.depgraph.builder" in _SCHEMA_MODULES
-
-    def test_schema_hash_stable(self):
-        assert schema_hash() == schema_hash()

@@ -1,14 +1,7 @@
 """Tests for the command-line interface."""
 
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.cli import main
 
 INTRO = """
@@ -16,14 +9,6 @@ REAL C(0:99)
 DO 1 i = 0, 4
 DO 1 j = 0, 9
 1 C(i+10*j) = C(i+10*j+5)
-"""
-
-SYMBOLIC = """
-REAL A(0:999), B(0:999)
-DO 1 i = 0, N
-DO 1 j = 0, 9
-A(i + 10*j + N) = A(i + 10*j) + 1
-1 B(i) = B(i + 1) + 1
 """
 
 C_SOURCE = """
@@ -440,58 +425,36 @@ class TestRiceps:
 
 
 class TestPerfFlags:
-    """--jobs/--no-cache/--cache-dir never change output; --perf is stderr."""
+    """--jobs/--no-cache never change output; --perf is stderr."""
 
-    def test_jobs_is_lint_only(self, fortran_file, capsys):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("analyze", ["--jobs", "2"], id="analyze-jobs"),
+            pytest.param("analyze", ["--cache-dir", "d"], id="analyze-cache-dir"),
+            pytest.param("lint", ["--cache-dir", "d"], id="lint-cache-dir"),
+            pytest.param("serve", ["--cache-dir", "d"], id="serve-cache-dir"),
+            pytest.param("check", ["--no-cache"], id="check-no-cache"),
+            pytest.param("check", ["--strict"], id="check-strict"),
+            pytest.param("vectorize", ["--verify"], id="vectorize-verify"),
+        ],
+    )
+    def test_unsupported_flag_is_rejected(
+        self, command, flag, fortran_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        source = [] if command == "serve" else [str(fortran_file)]
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(fortran_file), "--jobs", "2"])
+            main([command, *source, *flag])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_no_cache_output_is_byte_identical(self, fortran_file, capsys):
         assert main(["analyze", str(fortran_file)]) == 0
         cached = capsys.readouterr().out
         assert main(["analyze", str(fortran_file), "--no-cache"]) == 0
         assert capsys.readouterr().out == cached
-
-    def test_cache_dir_warm_run_is_byte_identical(
-        self, fortran_file, tmp_path, capsys
-    ):
-        cache_dir = str(tmp_path / "depcache")
-        assert main(["analyze", str(fortran_file), "--cache-dir", cache_dir]) == 0
-        cold = capsys.readouterr().out
-        assert main(["analyze", str(fortran_file), "--cache-dir", cache_dir]) == 0
-        assert capsys.readouterr().out == cold
-
-    def test_cache_dir_hits_across_processes(self, tmp_path):
-        # Keys must survive a reload into an interpreter with another string
-        # hash seed, or the persistent layer would silently never hit.  The
-        # symbolic bound N puts symbol names inside the key's polynomials.
-        program = tmp_path / "symbolic.f"
-        program.write_text(SYMBOLIC)
-        cache_dir = tmp_path / "depcache"
-        src = str(Path(repro.__file__).resolve().parents[1])
-
-        def analyze(hash_seed):
-            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])
-            )
-            done = subprocess.run(
-                [sys.executable, "-m", "repro", "analyze", str(program),
-                 "--cache-dir", str(cache_dir), "--perf"],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            hits, misses = re.search(
-                r"cache hit/miss=(\d+)/(\d+)", done.stderr
-            ).groups()
-            return done.stdout, int(hits), int(misses)
-
-        cold_out, cold_hits, cold_misses = analyze(1)
-        warm_out, warm_hits, warm_misses = analyze(2)
-        assert cold_misses > 0
-        assert (warm_hits, warm_misses) == (cold_hits + cold_misses, 0)
-        assert warm_out == cold_out
 
     def test_perf_report_goes_to_stderr(self, fortran_file, capsys):
         assert main(["analyze", str(fortran_file), "--perf"]) == 0
