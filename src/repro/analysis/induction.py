@@ -31,7 +31,8 @@ The closed form at the update point (after executing it) is::
 
 Uses of ``v`` textually after the update inside the innermost body see that
 value; uses before it see one ``c`` less.  Both the initialization and the
-update statement are removed from the rewritten program.
+update statement are removed from the rewritten program, so a variable read
+after the nest is left as written.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ def substitute_induction_variables(program: Program) -> Program:
     # Re-recognize on the copy so loop references point into it.
     ivs = find_induction_variables(rewritten)
     for iv in ivs:
-        if not _uses_confined_to_innermost(iv):
+        if not _uses_confined_to_innermost(iv) or _read_after_nest(
+            rewritten.body, iv
+        ):
             continue
         closed_after = _closed_form(iv, after_update=True)
         closed_before = _closed_form(iv, after_update=False)
@@ -219,6 +222,13 @@ def _uses_confined_to_innermost(iv: InductionVariable) -> bool:
             ):
                 return False
     return True
+
+
+def _read_after_nest(body: list[Stmt], iv: InductionVariable) -> bool:
+    """Does a statement after the nest mention the variable?  Substitution
+    drops the update, so such a read would see no value."""
+    nest = next(i for i, stmt in enumerate(body) if stmt is iv.loops[0])
+    return any(_stmt_mentions(stmt, iv.name) for stmt in body[nest + 1 :])
 
 
 def _stmt_mentions(stmt: Stmt, name: str) -> bool:

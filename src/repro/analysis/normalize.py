@@ -34,8 +34,11 @@ from ..ir.fold import fold, simplify, simplify_deep
 from ..symbolic import Poly
 
 
-class NormalizationError(Exception):
-    """A loop cannot be brought to normalized form."""
+class NormalizationError(ValueError):
+    """A loop cannot be brought to normalized form (an input error)."""
+
+    #: The program being normalized, when attached (``driver.front_end``).
+    program: Program | None = None
 
 
 def normalize_program(program: Program) -> Program:

@@ -32,7 +32,7 @@ from .core import delinearize
 from .core.chaos import DEFAULT_RATE, ChaosState, maybe_chaos, state_from_env
 from .corpus import RICEPS_PROFILES, census_source, generate_riceps_program
 from .deptests import DependenceProblem, Verdict, run_all
-from .driver import compile_c, compile_fortran
+from .driver import TimedBarrier, compile_c, compile_fortran, front_end
 from .frontend.lexer import TokenStream, tokenize
 from .ir import to_linexpr
 from .symbolic import Assumptions
@@ -424,6 +424,8 @@ def _cmd_vectorize(args) -> int:
             assumptions=assumptions,
             normalized=True,
             derive_bounds=derive,
+            strict=args.strict,
+            **_perf_options(args),
         )
 
     # The schedule is verified against the *unmutated* graph: --drop-edge
@@ -443,21 +445,12 @@ def _cmd_vectorize(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .analysis import check_program, normalize_program
-    from .frontend import parse_fortran as parse
+    from .analysis import check_program
 
-    source = args.file.read_text()
-    if _language_of(args) == "c":
-        from .analysis import convert_pointers
-        from .frontend import parse_c
-
-        program, info = parse_c(source)
-        program = convert_pointers(program, info)
-    else:
-        program = parse(source)
-    diagnostics = check_program(
-        normalize_program(program), _parse_assumptions(args.assume)
+    program = front_end(
+        args.file.read_text(), _language_of(args), TimedBarrier(strict=True), []
     )
+    diagnostics = check_program(program, _parse_assumptions(args.assume))
     for diagnostic in diagnostics:
         print(diagnostic)
     if not diagnostics:

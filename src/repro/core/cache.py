@@ -14,9 +14,8 @@ Two safety rules keep cached answers indistinguishable from fresh ones:
 * a result is stored only after a fully successful solve — nothing is
   cached when the solver raises (including budget exhaustion, where a
   partial answer would otherwise be replayed as if it were complete);
-* the cache is bypassed entirely when a trace is requested (the auditor
-  needs groups/trace in the original variable space) and when the chaos
-  harness is active (replaying a cached answer would skip injection sites
+* the cache is bypassed entirely when a trace is requested and when the
+  chaos harness is active (replaying a cached answer would skip injection sites
   and perturb every downstream hit counter, breaking seeded determinism).
 
 This module is also the registry behind :func:`clear_all`, which resets

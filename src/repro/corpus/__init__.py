@@ -1,6 +1,6 @@
 """Synthetic RiCEPS-style corpus: profiles, generator, census detector."""
 
-from .detector import CensusResult, census_program, census_source
+from .detector import CensusResult, census_source
 from .generator import (
     STYLES,
     GeneratedProgram,
@@ -15,7 +15,6 @@ __all__ = [
     "RICEPS_PROFILES",
     "RicepsProfile",
     "STYLES",
-    "census_program",
     "census_source",
     "generate_program",
     "generate_riceps_program",

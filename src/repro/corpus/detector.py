@@ -1,13 +1,14 @@
 """The linearized-reference census pipeline (paper, Figure 1).
 
-The census runs the *full* front-half of the compiler on source text:
+The census runs the compiler's front half on source text
+(:func:`repro.driver.front_end`):
 
 1. parse;
 2. normalize loops;
 3. recognize and substitute multi-loop induction variables (so the BOAST
    ``IB`` pattern surfaces as a linearized reference);
 4. linearize EQUIVALENCE alias groups and COMMON blocks (the ANSI
-   storage-association rules);
+   storage-association rules, :func:`repro.driver.linearize_storage`);
 5. count outermost loop nests containing a linearized reference — a single
    subscript position that is affine in two or more loop variables.
 """
@@ -16,15 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.induction import substitute_induction_variables
-from ..analysis.linearize import (
-    count_linearized_nests,
-    linearize_common,
-    linearize_program,
-)
-from ..analysis.normalize import normalize_program
-from ..frontend.fortran import parse_fortran
-from ..ir import Program
+from ..analysis.linearize import LinearizationError, count_linearized_nests
+from ..driver import TimedBarrier, front_end, linearize_storage
+from ..ir import Loop
 
 
 @dataclass(frozen=True)
@@ -37,24 +32,16 @@ class CensusResult:
     total_nests: int
 
 
-def census_program(program: Program, name: str, lines: int) -> CensusResult:
-    prepared = substitute_induction_variables(normalize_program(program))
-    try:
-        prepared = linearize_program(prepared)
-    except Exception:
-        pass  # programs without (linearizable) EQUIVALENCE groups
-    try:
-        prepared = linearize_common(prepared)
-    except Exception:
-        pass  # COMMON blocks with unusable members stay as-is
-    from ..ir import Loop
-
-    total = sum(1 for stmt in prepared.body if isinstance(stmt, Loop))
-    return CensusResult(
-        name, lines, count_linearized_nests(prepared), total
-    )
-
-
 def census_source(source: str, name: str = "PROGRAM") -> CensusResult:
-    program = parse_fortran(source, name)
-    return census_program(program, name, len(source.splitlines()))
+    program = front_end(source, "fortran", TimedBarrier(strict=True), [])
+    try:
+        program = linearize_storage(program, [])
+    except LinearizationError:
+        pass  # storage the rules cannot lay out is counted as written
+    total = sum(1 for stmt in program.body if isinstance(stmt, Loop))
+    return CensusResult(
+        name,
+        len(source.splitlines()),
+        count_linearized_nests(program),
+        total,
+    )

@@ -407,6 +407,7 @@ def analyze_dependences(
     cache: ProblemCache | None = None,
     outcome_cache=None,
     deadline: float | None = None,
+    analysis=None,
 ) -> DependenceGraph:
     """Build the dependence graph of a program using delinearization.
 
@@ -419,7 +420,10 @@ def analyze_dependences(
     extents and interval-analysis value ranges program-wide, plus — per
     dependence pair — non-emptiness of every loop enclosing either
     reference.  This is the paper's Section 6 inference (``N >= 1`` from
-    ``REAL A(0:N*N*N-1)``) made automatic.
+    ``REAL A(0:N*N*N-1)``) made automatic.  ``analysis`` is the program's
+    interval analysis (as :func:`repro.lint.ranges.derive_assumptions`
+    takes it) when the caller already ran it, as lint does; otherwise it
+    runs here.
 
     Each dependence pair runs inside an exception barrier with a fresh work
     budget of ``pair_budget`` steps (None disables metering).  A pair whose
@@ -455,7 +459,7 @@ def analyze_dependences(
     analyzed = program if normalized else normalize_program(program)
     alias_diagnostics = ensure_calls_resolved(analyzed)
     if derive_bounds:
-        assumptions = derive_assumptions(analyzed, assumptions)
+        assumptions = derive_assumptions(analyzed, assumptions, analysis)
     bounds = rectangular_bounds(analyzed)
     graph = DependenceGraph(analyzed)
 

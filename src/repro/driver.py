@@ -1,11 +1,13 @@
 """The end-to-end translator pipeline (the role VIC plays in the paper).
 
-``compile_fortran`` / ``compile_c`` run the full front-half of a
-parallelizing compiler: parse, normalize loops, recognize multi-loop
-induction variables, linearize EQUIVALENCE alias groups, build the
-dependence graph with delinearization, run Allen-Kennedy vectorization,
-statically verify the resulting schedule against the graph, and emit the
-transformed program — collecting a per-phase report along the way.
+``compile_fortran`` / ``compile_c`` run the whole pipeline of a
+parallelizing compiler: the front half (:func:`front_end`: parse, normalize
+loops, recognize multi-loop induction variables, the same for both
+languages and shared with ``repro lint``, ``repro check`` and the census),
+then linearize EQUIVALENCE and COMMON storage, build the dependence graph
+with delinearization, run Allen-Kennedy vectorization, statically verify
+the resulting schedule against the graph, and emit the transformed program
+— collecting a per-phase report along the way.
 
 Every phase after parsing runs inside an exception barrier
 (:class:`repro.core.resilience.Barrier`): an internal error degrades the
@@ -19,6 +21,7 @@ With ``strict=True`` (the mode CI runs in) internal errors re-raise.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .analysis import (
@@ -28,6 +31,7 @@ from .analysis import (
     substitute_induction_variables,
 )
 from .analysis.linearize import alias_groups
+from .analysis.normalize import NormalizationError
 from .analysis.pointers import convert_pointers
 from .core.resilience import Barrier
 from .depgraph import (
@@ -76,7 +80,7 @@ class PerfReport:
         return "\n".join(lines)
 
 
-class _TimedBarrier(Barrier):
+class TimedBarrier(Barrier):
     """A barrier that also meters wall time per phase name."""
 
     def __init__(self, strict: bool = False):
@@ -198,6 +202,79 @@ class CompilationReport:
         return "\n".join(lines)
 
 
+def front_end(
+    source: str,
+    language: str,
+    barrier: TimedBarrier,
+    phases: list[str],
+    *,
+    recover: bool = False,
+) -> Program:
+    """The front half every entry point shares: parse, convert C pointers,
+    normalize loops, substitute multi-loop induction variables.
+
+    Each phase after parsing runs under ``barrier`` and degrades to the
+    program it was given; substitution runs only if nothing degraded.
+    ``phases`` gains each phase that ran (that changed the program, for
+    pointers and substitution).  A syntax error raises ``ParseError``.
+    ``recover=True`` (lint) reports input errors instead: every syntax
+    error in one ``ParseErrorGroup``, and a :class:`NormalizationError`
+    raised with the parsed program as its ``program``.
+    """
+    started = time.perf_counter()
+    if language == "c":
+        program, info = parse_c(source, recover=recover)
+    else:
+        program, info = parse_fortran(source, recover=recover), None
+    barrier.phase_seconds["parse"] = time.perf_counter() - started
+    phases.append("parse")
+    if info is not None and info.pointers:
+        base = program
+        program = barrier.run(
+            "pointer-conversion",
+            lambda: convert_pointers(base, info),
+            lambda: base,
+        )
+        if program is not base:
+            phases.append("pointer-conversion")
+    parsed = program
+    if recover:
+        try:
+            program = normalize_program(parsed)
+        except NormalizationError as error:
+            error.program = parsed
+            raise
+    else:
+        program = barrier.run(
+            "normalize", lambda: normalize_program(parsed), lambda: parsed
+        )
+    phases.append("normalize")
+    if not barrier.failed_phases:
+        base = program
+        program = barrier.run(
+            "induction-variables",
+            lambda: substitute_induction_variables(base),
+            lambda: base,
+        )
+        if program is not base:
+            phases.append("induction-variables")
+    return program
+
+
+def linearize_storage(program: Program, phases: list[str]) -> Program:
+    """Rewrite EQUIVALENCE alias groups, then COMMON blocks, onto 1-D
+    storage arrays (ANSI storage association); ``phases`` gains each
+    rewrite that ran.  Raises ``LinearizationError`` on unusable storage."""
+    if alias_groups(program):
+        program = linearize_program(program)
+        program = normalize_program(program)  # renumber statements
+        phases.append("linearize-aliases")
+    if program.commons:
+        program = linearize_common(program)
+        phases.append("linearize-common")
+    return program
+
+
 def compile_fortran(
     source: str,
     assumptions: Assumptions | None = None,
@@ -227,55 +304,9 @@ def compile_fortran(
     and the keyword stays only because the committed benchmark
     (``perfbench/suite/workloads.py``) still passes it.
     """
-    barrier = _TimedBarrier(strict=strict)
-    phases = ["parse"]
-    parse_started = time.perf_counter()
-    program = parse_fortran(source)
-    barrier.phase_seconds["parse"] = time.perf_counter() - parse_started
-
-    program = barrier.run(
-        "normalize", lambda: normalize_program(program), lambda: program
-    )
-    phases.append("normalize")
-    if not barrier.failed_phases:
-        base = program
-        rewritten = barrier.run(
-            "induction-variables",
-            lambda: substitute_induction_variables(base),
-            lambda: base,
-        )
-        if rewritten is not program:
-            phases.append("induction-variables")
-        program = rewritten
-    if not barrier.failed_phases:
-        base = program
-
-        def run_linearize() -> Program:
-            result = base
-            if alias_groups(result):
-                result = linearize_program(result)
-                result = normalize_program(result)  # renumber statements
-                phases.append("linearize-aliases")
-            if result.commons:
-                result = linearize_common(result)
-                phases.append("linearize-common")
-            return result
-
-        program = barrier.run("linearize-aliases", run_linearize, lambda: base)
-
-    return _back_half(
-        source,
-        "fortran",
-        program,
-        barrier,
-        phases,
-        assumptions=assumptions,
-        audit=audit,
-        derive_bounds=derive_bounds,
-        verify=verify,
-        strict=strict,
-        use_cache=use_cache,
-        deadline=deadline,
+    return _compile(
+        source, "fortran", assumptions, audit, derive_bounds, verify, strict,
+        use_cache, deadline,
     )
 
 
@@ -292,91 +323,50 @@ def compile_c(
     """Run the whole pipeline on C source text (see :func:`compile_fortran`
     for the ``audit``, ``derive_bounds``, ``verify``, ``strict`` and
     ``use_cache`` flags)."""
-    barrier = _TimedBarrier(strict=strict)
-    phases = ["parse"]
-    parse_started = time.perf_counter()
-    program, info = parse_c(source)
-    barrier.phase_seconds["parse"] = time.perf_counter() - parse_started
-    if info.pointers:
-        base = program
-        converted = barrier.run(
-            "pointer-conversion",
-            lambda: convert_pointers(base, info),
-            lambda: base,
-        )
-        if converted is not program:
-            phases.append("pointer-conversion")
-        program = converted
-    base = program
-    program = barrier.run(
-        "normalize", lambda: normalize_program(base), lambda: base
-    )
-    phases.append("normalize")
-    return _back_half(
-        source,
-        "c",
-        program,
-        barrier,
-        phases,
-        assumptions=assumptions,
-        audit=audit,
-        derive_bounds=derive_bounds,
-        verify=verify,
-        strict=strict,
-        use_cache=use_cache,
-        deadline=deadline,
+    return _compile(
+        source, "c", assumptions, audit, derive_bounds, verify, strict,
+        use_cache, deadline,
     )
 
 
-def _back_half(
+def _compile(
     source: str,
     language: str,
-    program: Program,
-    barrier: _TimedBarrier,
-    phases: list[str],
-    *,
     assumptions: Assumptions | None,
     audit: bool,
     derive_bounds: bool,
     verify: bool,
     strict: bool,
-    use_cache: bool = True,
-    deadline: float | None = None,
+    use_cache: bool,
+    deadline: float | None,
 ) -> CompilationReport:
-    """Dependence analysis through emission, each phase barriered.
+    """The front half, storage linearization, then dependence analysis
+    through emission, each phase barriered."""
+    barrier = TimedBarrier(strict=strict)
+    phases: list[str] = []
+    program = front_end(source, language, barrier, phases)
+    if not barrier.failed_phases:
+        base = program
+        program = barrier.run(
+            "linearize-aliases",
+            lambda: linearize_storage(base, phases),
+            lambda: base,
+        )
 
-    When any front-end phase already degraded, the real dependence analysis
-    is skipped outright: the program may be un-normalized or carry
-    unlinearized aliases the analysis would silently mismodel.  The
-    conservative graph plus a fully serial plan is sound regardless.
-    """
-    front_degraded = bool(barrier.failed_phases)
-    if front_degraded:
-        barrier.note(
-            codes.RS003,
-            "dependence-analysis",
-            "front-end degraded; conservative dependence graph assumed",
-        )
-        graph = barrier.run(
-            "dependence-analysis",
-            lambda: conservative_graph(program),
-            lambda: DependenceGraph(program),
-        )
-    else:
-        graph = barrier.run(
-            "dependence-analysis",
-            lambda: analyze_dependences(
-                program,
-                assumptions=assumptions,
-                normalized=True,
-                audit=audit,
-                derive_bounds=derive_bounds,
-                strict=strict,
-                use_cache=use_cache,
-                deadline=deadline,
-            ),
-            lambda: conservative_graph(program),
-        )
+    graph = dependence_graph(
+        program,
+        barrier,
+        lambda: analyze_dependences(
+            program,
+            assumptions=assumptions,
+            normalized=True,
+            audit=audit,
+            derive_bounds=derive_bounds,
+            strict=strict,
+            use_cache=use_cache,
+            deadline=deadline,
+        ),
+    )
     phases.append("dependence-analysis")
     if any(
         isinstance(stmt, CallStmt)
@@ -386,7 +376,7 @@ def _back_half(
     if audit and not barrier.failed("dependence-analysis"):
         phases.append("soundness-audit")
 
-    if front_degraded or barrier.failed("dependence-analysis"):
+    if barrier.failed_phases:
         # Aliasing or normalization may be mismodelled: even the assumed
         # edges cannot be trusted to cover cross-array conflicts, so the
         # only legal schedule is the original serial one.
@@ -399,17 +389,7 @@ def _back_half(
 
     schedule_diags: list[Diagnostic] = []
     if verify:
-        schedule_diags = barrier.run(
-            "verify-schedule",
-            lambda: verify_schedule(plan, graph),
-            lambda: [
-                Diagnostic.make(
-                    codes.RS003,
-                    "verify-schedule: verifier failed; schedule is unverified",
-                    severity="error",
-                )
-            ],
-        )
+        schedule_diags = verify_plan(plan, graph, barrier)
         phases.append("verify-schedule")
 
     output = barrier.run(
@@ -430,6 +410,50 @@ def _back_half(
         schedule_diags,
         sort_diagnostics([*graph.degradations, *barrier.degradations]),
         PerfReport(phase_seconds=barrier.phase_seconds, graph=graph.perf),
+    )
+
+
+def dependence_graph(
+    program: Program, barrier: Barrier, analyze: Callable[[], DependenceGraph]
+) -> DependenceGraph:
+    """``analyze()`` under ``barrier``, the conservative graph if it fails
+    (lint and compile pass different analysis options).
+
+    After a front-end phase degraded, the analysis is skipped (``RS003``):
+    the program may carry loops, induction variables or aliases it would
+    silently mismodel.  The conservative graph is sound regardless.
+    """
+    if barrier.failed_phases:
+        barrier.note(
+            codes.RS003,
+            "dependence-analysis",
+            "front-end degraded; conservative dependence graph assumed",
+        )
+        return barrier.run(
+            "dependence-analysis",
+            lambda: conservative_graph(program),
+            lambda: DependenceGraph(program),
+        )
+    return barrier.run(
+        "dependence-analysis", analyze, lambda: conservative_graph(program)
+    )
+
+
+def verify_plan(
+    plan: VectorizationResult, graph: DependenceGraph, barrier: Barrier
+) -> list[Diagnostic]:
+    """Verify ``plan`` against ``graph`` under ``barrier``; a verifier
+    failure leaves the schedule unverified, an ``RS003`` error."""
+    return barrier.run(
+        "verify-schedule",
+        lambda: verify_schedule(plan, graph),
+        lambda: [
+            Diagnostic.make(
+                codes.RS003,
+                "verify-schedule: verifier failed; schedule is unverified",
+                severity="error",
+            )
+        ],
     )
 
 

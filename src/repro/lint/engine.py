@@ -1,14 +1,15 @@
 """The lint driver: run every analysis over one source file.
 
-``lint_source`` mirrors the front half of the compilation pipeline
-(:mod:`repro.driver`) — parse, pointer conversion, loop normalization,
-induction-variable substitution — then runs, in order:
+``lint_source`` calls the compilation pipeline's front half
+(:func:`repro.driver.front_end`: parse, pointer conversion, loop
+normalization, induction-variable substitution), then runs, in order:
 
 1. the semantic checker (:mod:`repro.analysis.check`, ``DL`` codes);
 2. the dataflow passes (:mod:`repro.lint.dataflow`, ``DF`` codes);
 3. the interval range analysis and its bounds checks
    (:mod:`repro.lint.ranges`, ``DB`` codes), run under assumptions enriched
-   with declaration-derived and interval-derived facts;
+   with declaration-derived and interval-derived facts; the dependence
+   graph below reuses the same analysis;
 4. optionally the delinearization soundness auditor
    (:mod:`repro.lint.audit`, ``DS`` codes) over every dependence problem the
    program gives rise to;
@@ -17,19 +18,24 @@ induction-variable substitution — then runs, in order:
    re-verified against the dependence graph.
 
 Parse and normalization failures become ``DL001`` diagnostics instead of
-exceptions, so the CLI can report them uniformly with spans.
+exceptions, so the CLI can report them uniformly with spans.  Internal
+errors degrade to ``RS`` diagnostics under one barrier shared by every
+phase (``strict=True`` re-raises).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis import normalize_program, substitute_induction_variables
+from .. import depgraph, vectorizer
+
+# Not called here (lint runs them through ``front_end``); bound because
+# perfbench/suite/trace.py::SITES wraps these module attributes.
+from ..analysis import normalize_program, substitute_induction_variables  # noqa: F401
 from ..analysis.check import check_program
 from ..analysis.normalize import NormalizationError
-from ..analysis.pointers import convert_pointers
-from ..core.resilience import Barrier
-from ..frontend import parse_c, parse_fortran
+from ..driver import TimedBarrier, dependence_graph, front_end, verify_plan
+from ..frontend import parse_fortran  # noqa: F401 — see SITES above
 from ..frontend.errors import ParseError, ParseErrorGroup
 from ..ir import Program
 from ..symbolic import Assumptions
@@ -93,8 +99,9 @@ def lint_source(
     skipped and the soundness audit runs on user assumptions only (the
     ablation measured by ``benchmarks/bench_ranges.py``).  ``schedule=True``
     additionally vectorizes the program and statically verifies the
-    resulting schedule (``VR`` codes).  ``strict=True`` re-raises internal
-    errors in the graph passes instead of degrading conservatively.
+    resulting schedule against the audited graph (``VR`` codes).
+    ``strict=True`` re-raises internal errors instead of degrading them to
+    the conservative graph / serial plan with an ``RS`` diagnostic.
     ``use_cache`` tunes the dependence-analysis pass (see
     :func:`repro.depgraph.analyze_dependences`) without changing its result.
     ``outcome_cache``/``deadline`` are the resident-server knobs
@@ -108,53 +115,72 @@ def lint_source(
     synchronized at statement boundaries to keep going.
     """
     report = LintReport(language)
+    barrier = TimedBarrier(strict=strict)
     try:
-        if language == "c":
-            program, info = parse_c(source, recover=True)
-            if info.pointers:
-                program = convert_pointers(program, info)
-        else:
-            program = parse_fortran(source, recover=True)
+        program = front_end(source, language, barrier, [], recover=True)
     except ParseErrorGroup as group:
         report.diagnostics = _parse_failure(group.errors)
         return report
     except ParseError as error:
         report.diagnostics = _parse_failure([error])
         return report
-    report.parsed = True
-    try:
-        normalized = normalize_program(program)
     except NormalizationError as error:
-        # The raw program still supports the structural checks (rank,
+        # The parsed program still supports the structural checks (rank,
         # shadowing — the usual cause of normalization failure); make sure
         # at least one error-severity diagnostic explains the failure.
-        diags = check_program(program, assumptions)
+        diags = check_program(error.program, assumptions)
         if max_severity(diags) != codes.ERROR:
             diags.append(Diagnostic.make(codes.DL001, str(error)))
-        report.program = program
+        report.parsed = True
+        report.program = error.program
         report.diagnostics = sort_diagnostics(diags)
         return report
-    normalized = substitute_induction_variables(normalized)
-    report.program = normalized
-    diags = check_program(normalized, assumptions)
+    report.parsed = True
+    report.program = program
+    diags = check_program(program, assumptions)
     # Only user-supplied symbols are subject to the DF004 invariance check:
     # derived interval facts legitimately describe assigned scalars.
     symbols = assumptions.symbols() if assumptions else set()
-    diags += run_dataflow_checks(normalized, symbols)
+    diags += run_dataflow_checks(program, symbols)
+    analysis = None
     if ranges:
-        decl_assumed = declared_bound_assumptions(normalized, assumptions)
-        analysis = analyze_ranges(normalized, decl_assumed)
-        derived = derive_assumptions(normalized, assumptions, analysis)
-        diags += check_bounds(normalized, derived, analysis)
+        decl_assumed = declared_bound_assumptions(program, assumptions)
+        analysis = analyze_ranges(program, decl_assumed)
+        derived = derive_assumptions(program, assumptions, analysis)
+        diags += check_bounds(program, derived, analysis)
     # A program with semantic errors (shadowed loop variables, rank
     # mismatches) cannot be turned into well-formed dependence problems.
     if (audit or schedule) and max_severity(diags) != codes.ERROR:
-        diags += _graph_passes(
-            normalized, assumptions, report, ranges,
-            audit, schedule, strict, use_cache,
-            outcome_cache, deadline,
+        graph = dependence_graph(
+            program,
+            barrier,
+            lambda: depgraph.analyze_dependences(
+                program,
+                assumptions=assumptions,
+                normalized=True,
+                audit=audit,
+                derive_bounds=ranges,
+                strict=strict,
+                use_cache=use_cache,
+                outcome_cache=outcome_cache,
+                deadline=deadline,
+                analysis=analysis,
+            ),
         )
-    report.diagnostics = sort_diagnostics(diags)
+        diags += graph.degradations
+        diags += graph.alias_diagnostics
+        diags += depgraph.control_diagnostics(graph)
+        if audit:
+            report.audited_pairs = len(graph.edges)
+            diags += graph.audit_diagnostics
+        if schedule:
+            plan = barrier.run(
+                "vectorize",
+                lambda: vectorizer.vectorize(graph),
+                lambda: vectorizer.serial_plan(program),
+            )
+            diags += verify_plan(plan, graph, barrier)
+    report.diagnostics = sort_diagnostics(diags + barrier.degradations)
     return report
 
 
@@ -172,75 +198,3 @@ def _parse_failure(errors: list[ParseError]) -> list[Diagnostic]:
         )
     )
     return sort_diagnostics(diags)
-
-
-def _graph_passes(
-    program: Program,
-    assumptions: Assumptions | None,
-    report: LintReport,
-    derive_bounds: bool = True,
-    audit: bool = True,
-    schedule: bool = False,
-    strict: bool = False,
-    use_cache: bool = True,
-    outcome_cache=None,
-    deadline: float | None = None,
-) -> list[Diagnostic]:
-    """The dependence-graph-backed passes: soundness audit and, on request,
-    vectorization plus schedule verification (one graph serves both).
-
-    Each pass runs inside an exception barrier: an internal error degrades
-    to the conservative graph / serial plan and surfaces as ``RS``
-    diagnostics instead of aborting the lint (``strict=True`` re-raises).
-    """
-    # Imported here: depgraph depends on lint.audit, so the package cannot
-    # import it at module load time without a cycle.
-    from ..depgraph import (
-        analyze_dependences,
-        conservative_graph,
-        control_diagnostics,
-    )
-
-    barrier = Barrier(strict=strict)
-    graph = barrier.run(
-        "dependence-analysis",
-        lambda: analyze_dependences(
-            program,
-            assumptions=assumptions,
-            normalized=True,
-            audit=audit,
-            derive_bounds=derive_bounds,
-            strict=strict,
-            use_cache=use_cache,
-            outcome_cache=outcome_cache,
-            deadline=deadline,
-        ),
-        lambda: conservative_graph(program),
-    )
-    diags: list[Diagnostic] = list(graph.degradations)
-    diags += list(graph.alias_diagnostics)
-    diags += control_diagnostics(graph)
-    if audit:
-        report.audited_pairs = len(graph.edges)
-        diags += list(graph.audit_diagnostics)
-    if schedule:
-        from ..vectorizer import serial_plan, vectorize
-
-        from .schedule import verify_schedule
-
-        plan = barrier.run(
-            "vectorize", lambda: vectorize(graph), lambda: serial_plan(program)
-        )
-        diags += barrier.run(
-            "verify-schedule",
-            lambda: verify_schedule(plan, graph),
-            lambda: [
-                Diagnostic.make(
-                    codes.RS003,
-                    "verify-schedule: verifier failed; schedule is unverified",
-                    severity="error",
-                )
-            ],
-        )
-    diags += barrier.degradations
-    return diags

@@ -128,3 +128,18 @@ class TestSubstitution:
         p = normalize_program(parse_fortran(src))
         rewritten = substitute_induction_variables(p)
         assert "S" in format_program(rewritten)
+
+    def test_read_after_the_nest_blocks_substitution(self):
+        # Substitution drops the update; a read after the loop would then
+        # see no value at all.
+        from repro.ir import run_program
+
+        src = (
+            "REAL A(0:999), B(0:9)\nK = 0\nDO i = 0, 99\n"
+            "A(K) = A(K+100) + 1\nK = K + 1\nENDDO\nB(0) = K\n"
+        )
+        p = normalize_program(parse_fortran(src))
+        rewritten = substitute_induction_variables(p)
+        assert run_program(rewritten, {}).snapshot() == run_program(
+            p, {}
+        ).snapshot()

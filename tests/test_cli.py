@@ -131,6 +131,41 @@ class TestVectorizeVerify:
         assert "A(0:8, 0:5)" in out
         assert "VR" not in out
 
+    def test_interchange_rebuild_honours_strict_and_no_cache(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.depgraph as depgraph
+        from repro.depgraph import builder
+
+        path = tmp_path / "ok.f"
+        path.write_text(
+            "REAL A(0:10, 0:10), B(0:10, 0:10)\nDO 1 i = 0, 8\n"
+            "DO 1 j = 0, 5\n1 A(i, j) = B(i, j)\n"
+        )
+        rebuilds = []
+        original = depgraph.analyze_dependences
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("pair analysis bug")
+
+        def failing_rebuild(*args, **kwargs):
+            rebuilds.append(kwargs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(builder, "build_pair_problem", broken)
+                return original(*args, **kwargs)
+
+        # Only the rebuild after the interchange resolves the name here;
+        # the compile before it goes through repro.driver.
+        monkeypatch.setattr(depgraph, "analyze_dependences", failing_rebuild)
+        argv = ["vectorize", str(path), "--interchange", "i"]
+        assert main(argv) == 0  # the failed pair degrades (RS001)
+        with pytest.raises(RuntimeError, match="pair analysis bug"):
+            main([*argv, "--strict", "--no-cache"])
+        assert [(r["strict"], r["use_cache"]) for r in rebuilds] == [
+            (False, True),
+            (True, False),
+        ]
+
     def test_unknown_interchange_variable(self, race_file, capsys):
         assert main(["vectorize", str(race_file), "--interchange", "z"]) == 1
         assert "no loop" in capsys.readouterr().err
@@ -159,6 +194,12 @@ class TestCheck:
         path = tmp_path / "bad.f"
         path.write_text("REAL A(0:9,0:9)\nDO i = 0, 9\nA(i) = 1\nENDDO\n")
         assert main(["check", str(path)]) == 2
+
+    def test_unnormalizable_program_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "down.f"
+        path.write_text("REAL A(0:9)\nDO i = 9, 0, -1\nA(i) = 1\nENDDO\n")
+        assert main(["check", str(path)]) == 1
+        assert "non-positive step" in capsys.readouterr().err
 
 
 class TestLint:

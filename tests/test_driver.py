@@ -4,9 +4,10 @@ from repro.analysis import normalize_program
 from repro.depgraph import analyze_dependences
 from repro.driver import analyzed_source, compile_c, compile_fortran
 from repro.frontend import parse_fortran
+from repro.ir import run_program
 from repro.lint.diagnostics import render_json
 from repro.lint.engine import lint_source
-from repro.vectorizer import vectorize
+from repro.vectorizer import run_schedule, vectorize
 
 
 class TestFortranPipeline:
@@ -88,6 +89,21 @@ class TestCPipeline:
         assert "pointer-conversion" in report.phases
         assert report.dependence_count == 0
         assert report.vectorized_statements == ["S1"]
+
+    def test_induction_variable_substituted(self):
+        # k steps with i: a[k] and a[k+100] never meet, and each iteration
+        # writes its own element, so there is no output dependence.
+        report = compile_c(
+            "float a[1000]; int i, k; k = 0;"
+            " for (i = 0; i < 100; i++) { a[k] = a[k+100] + 1; k = k + 1; }"
+        )
+        assert "induction-variables" in report.phases
+        assert report.graph.edges == []
+        assert report.vectorized_statements == ["S1"]
+        assert (
+            run_schedule(report.plan, {}).snapshot()
+            == run_program(report.program, {}).snapshot()
+        )
 
     def test_plain_c(self):
         report = compile_c(
