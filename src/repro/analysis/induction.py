@@ -129,7 +129,7 @@ def substitute_induction_variables(program: Program) -> Program:
 
     The program must be normalized (loops 0..U step 1).  Unsupported uses
     (outside the innermost body of the recognized nest) leave the variable
-    untouched.
+    untouched; a program in which nothing is substituted is returned as is.
     """
     if not find_induction_variables(program):
         return program
@@ -143,11 +143,13 @@ def substitute_induction_variables(program: Program) -> Program:
     )
     # Re-recognize on the copy so loop references point into it.
     ivs = find_induction_variables(rewritten)
+    substituted = False
     for iv in ivs:
         if not _uses_confined_to_innermost(iv) or _read_after_nest(
             rewritten.body, iv
         ):
             continue
+        substituted = True
         closed_after = _closed_form(iv, after_update=True)
         closed_before = _closed_form(iv, after_update=False)
         innermost = iv.loops[-1]
@@ -182,6 +184,8 @@ def substitute_induction_variables(program: Program) -> Program:
                 and s.rhs is iv.init
             )
         ]
+    if not substituted:
+        return program
     rewritten.number_statements()
     return rewritten
 

@@ -9,14 +9,25 @@ plain key hits as often as any normal form would.  On a miss the problem
 itself is solved, so the solving path is byte-identical with the cache on,
 off, cold or warm.
 
+An audited solve passes the soundness auditor as ``audit=``; the layers
+stay split because the auditor is only a callable here and its findings are
+opaque.  The findings are a pure function of the problem (their
+``statement`` and ``span`` are labels), so one entry holds the verdict
+*and* the findings without labels, and an audited hit hands them to the
+auditor on the rebuilt result to relabel instead of re-auditing.  The
+Figure-5 trace the audit reads is never stored.  An entry stored by an
+unaudited solve has no findings: an audited lookup counts it as a miss,
+re-solves with a trace, audits and upgrades the entry.
+
 Two safety rules keep cached answers indistinguishable from fresh ones:
 
-* a result is stored only after a fully successful solve — nothing is
-  cached when the solver raises (including budget exhaustion, where a
-  partial answer would otherwise be replayed as if it were complete);
-* the cache is bypassed entirely when a trace is requested and when the
-  chaos harness is active (replaying a cached answer would skip injection sites
-  and perturb every downstream hit counter, breaking seeded determinism).
+* a result is stored only after a fully successful solve and audit —
+  nothing is cached when the solver or the auditor raises (including
+  budget exhaustion, where a partial answer would otherwise be replayed as
+  if it were complete);
+* the cache is bypassed entirely when the chaos harness is active
+  (replaying a cached answer would skip injection sites and perturb every
+  downstream hit counter, breaking seeded determinism).
 
 This module is also the registry behind :func:`clear_all`, which resets
 every process-lifetime cache in the package (this one, ``poly_gcd``'s LRU,
@@ -47,32 +58,50 @@ class CachedOutcome:
     """The cacheable portion of a :class:`DelinearizationResult`.
 
     Direction vectors and distances are kept in the problem's own level
-    order.  Groups and the Figure-5 trace are deliberately not cached: the
-    only consumers (the soundness auditor, the ``delinearize`` CLI trace)
-    bypass the cache.
+    order.  ``findings`` are the soundness audit's findings without their
+    labels, or None when the entry was stored by an unaudited solve.
+    Groups and the Figure-5 trace are deliberately not cached: the auditor
+    reads the trace only on a miss, and the ``delinearize`` CLI trace calls
+    the solver directly.
     """
 
     verdict: str
     dirvecs: frozenset[DirVec]
     distances: tuple[tuple[int, Poly], ...]
     dimensions: int
+    findings: tuple | None = None
 
     @classmethod
-    def of(cls, result: DelinearizationResult) -> "CachedOutcome":
+    def of(
+        cls, result: DelinearizationResult, findings=None
+    ) -> "CachedOutcome":
+        if findings is not None:
+            findings = tuple(findings)
         if result.verdict is Verdict.INDEPENDENT:
             # Early-independence returns may leave partial direction/distance
             # state behind; normalize it away so equal keys store equal entries.
-            return cls(result.verdict.value, frozenset(), (), result.dimensions_found)
+            return cls(
+                result.verdict.value,
+                frozenset(),
+                (),
+                result.dimensions_found,
+                findings,
+            )
         return cls(
             result.verdict.value,
             frozenset(result.direction_vectors),
             tuple(sorted(result.distances.items())),
             result.dimensions_found,
+            findings,
         )
 
     def to_result(self) -> DelinearizationResult:
         verdict = Verdict(self.verdict)
-        result = DelinearizationResult(verdict=verdict, dimensions_found=self.dimensions)
+        result = DelinearizationResult(
+            verdict=verdict,
+            dimensions_found=self.dimensions,
+            findings=self.findings,
+        )
         if verdict is not Verdict.INDEPENDENT:
             result.direction_vectors = set(self.dirvecs)
             result.distances = dict(self.distances)
@@ -146,9 +175,13 @@ class ProblemCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def lookup(self, key: tuple) -> CachedOutcome | None:
+    def lookup(
+        self, key: tuple, *, audited: bool = False
+    ) -> CachedOutcome | None:
+        """The entry for ``key``; an ``audited`` lookup counts an entry
+        without findings as a miss."""
         entry = self._data.get(key)
-        if entry is None:
+        if entry is None or (audited and entry.findings is None):
             self.stats.misses += 1
             return None
         self._data.move_to_end(key)
@@ -156,10 +189,10 @@ class ProblemCache:
         return entry
 
     def store(self, key: tuple, entry: CachedOutcome) -> None:
-        if key in self._data:
-            self._data.move_to_end(key)
-            return
+        """Store ``entry``, replacing any entry for ``key`` (an audited
+        solve upgrades an unaudited entry)."""
         self._data[key] = entry
+        self._data.move_to_end(key)
         self.stats.stores += 1
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
@@ -218,20 +251,32 @@ def cached_delinearize(
     *,
     cache: ProblemCache | None = None,
     budget=None,
-    keep_trace: bool = False,
+    audit: Callable[[DependenceProblem, DelinearizationResult], list]
+    | None = None,
 ):
     """Solve ``problem``, consulting/filling ``cache`` when it is safe to.
 
-    Exactly equivalent to ``delinearize(problem, keep_trace=..., budget=...)``
-    — the differential tests in ``tests/core/test_cache.py`` hold this to
+    Exactly equivalent to ``delinearize(problem, budget=...)`` — the
+    differential tests in ``tests/core/test_cache.py`` hold this to
     byte-for-byte equality of verdicts, direction vectors and distances.
+
+    ``audit(problem, result)`` is the soundness auditor, called exactly once
+    per call.  On a miss it gets the solved result with its Figure-5 trace
+    and returns the findings to store with the verdict, without labels.  On
+    a hit it gets the rebuilt result, whose ``findings`` hold the stored
+    findings to relabel; there is no trace to audit.
     """
-    if cache is None or keep_trace or chaos.active_state() is not None:
-        return delinearize(problem, keep_trace=keep_trace, budget=budget)
-    key = problem_key(problem)
-    entry = cache.lookup(key)
-    if entry is not None:
-        return entry.to_result()
-    result = delinearize(problem, budget=budget)
-    cache.store(key, CachedOutcome.of(result))
+    key = None
+    if cache is not None and chaos.active_state() is None:
+        key = problem_key(problem)
+        entry = cache.lookup(key, audited=audit is not None)
+        if entry is not None:
+            result = entry.to_result()
+            if audit is not None:
+                audit(problem, result)
+            return result
+    result = delinearize(problem, keep_trace=audit is not None, budget=budget)
+    findings = None if audit is None else audit(problem, result)
+    if key is not None:
+        cache.store(key, CachedOutcome.of(result, findings))
     return result

@@ -106,6 +106,10 @@ class DelinearizationResult:
     distances: dict[int, Poly] = field(default_factory=dict)
     trace: list[TraceRow] = field(default_factory=list)
     dimensions_found: int = 0
+    #: The soundness-audit findings stored with a cached outcome, without
+    #: their statement and span labels; None unless the result was rebuilt
+    #: from an audited :class:`~repro.core.cache.ProblemCache` entry.
+    findings: tuple | None = None
 
     @property
     def independent(self) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from ..analysis.interproc import ensure_calls_resolved
@@ -439,7 +439,9 @@ def analyze_dependences(
     * ``use_cache`` / ``cache`` — memoize verdicts on the problem cache
       (:mod:`repro.core.cache`); the process-wide default cache unless
       an explicit :class:`ProblemCache` is given.  ``use_cache=False``
-      solves every pair from scratch, and so does ``audit=True``.
+      solves every pair from scratch.  With ``audit=True`` each entry
+      also holds the audit's findings, so a hit is relabelled for its
+      pair instead of re-audited.
 
     Server extensions:
 
@@ -468,11 +470,7 @@ def analyze_dependences(
         for index, (stmt, _) in enumerate(analyzed.walk_statements())
     }
     pairs = reference_pairs(analyzed, include_input)
-    if audit:
-        # The auditor needs every pair's Figure-5 trace, which a cached
-        # answer cannot give: an audited build reads and writes no cache.
-        problem_cache = None
-    elif cache is not None:
+    if cache is not None:
         problem_cache = cache
     else:
         problem_cache = default_cache() if use_cache else None
@@ -664,24 +662,29 @@ def _pair_specs(
             _assumed_specs(first, second, pair.common_levels)
         )
         return
+    auditor = None
+    if audit:
+        label = (
+            f"{first.stmt.label}:{first.ref.array} / "
+            f"{second.stmt.label}:{second.ref.array}"
+        )
+
+        def auditor(problem, result):
+            # A hit goes through ``audit_result`` too, which relabels the
+            # stored findings: every audited pair calls it exactly once.
+            # The cache keeps the findings without this pair's labels.
+            findings = audit_result(
+                problem, result, statement=label, span=first.stmt.span
+            )
+            outcome.audit.extend(findings)
+            return [replace(f, statement=None, span=None) for f in findings]
+
     hits_before = cache.stats.hits if cache is not None else 0
     result = cached_delinearize(
-        pair.problem, cache=cache, budget=budget, keep_trace=audit
+        pair.problem, cache=cache, budget=budget, audit=auditor
     )
     outcome.cached = cache is not None and cache.stats.hits > hits_before
     outcome.verdict = result.verdict.value
-    if audit:
-        outcome.audit.extend(
-            audit_result(
-                pair.problem,
-                result,
-                statement=(
-                    f"{first.stmt.label}:{first.ref.array} / "
-                    f"{second.stmt.label}:{second.ref.array}"
-                ),
-                span=first.stmt.span,
-            )
-        )
     if result.verdict is Verdict.INDEPENDENT:
         return
     forward: set[DirVec] = set()

@@ -40,7 +40,7 @@ only :mod:`repro.core`, :mod:`repro.deptests` and :mod:`repro.symbolic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, prod
 from typing import Callable
 
@@ -86,7 +86,16 @@ def audit_result(
     The result must have been produced with ``keep_trace=True`` for the
     barrier re-verification (DS001) and group-conservation (DS005) checks;
     without a trace only the verdict-level checks run.
+
+    A result rebuilt from an audited problem-cache entry carries that
+    audit's findings without labels (``result.findings``); they are this
+    problem's findings, so they are only relabelled, not re-derived.
     """
+    if result.findings is not None:
+        return [
+            replace(finding, statement=statement, span=span)
+            for finding in result.findings
+        ]
     diags: list[Diagnostic] = []
     segments = _split_trace(result.trace)
     for index, rows in enumerate(segments):

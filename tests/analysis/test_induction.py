@@ -143,3 +143,18 @@ class TestSubstitution:
         assert run_program(rewritten, {}).snapshot() == run_program(
             p, {}
         ).snapshot()
+
+    def test_program_with_every_iv_skipped_returned_as_is(self):
+        # K is recognized but read after the nest, so nothing is
+        # substituted: the input comes back, and the compile report does
+        # not list a phase that changed nothing.
+        from repro.driver import compile_fortran
+
+        src = (
+            "REAL A(0:999), B(0:9)\nK = 0\nDO 10 I = 0, 99\n"
+            "A(K) = A(K+100) + 1\nK = K + 1\n10 CONTINUE\nB(0) = K\n"
+        )
+        p = normalize_program(parse_fortran(src))
+        assert find_induction_variables(p)
+        assert substitute_induction_variables(p) is p
+        assert "induction-variables" not in compile_fortran(src).phases

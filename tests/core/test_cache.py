@@ -1,5 +1,6 @@
-"""The problem cache: its key, LRU behaviour, its safety bypasses, and
-byte-identical dependence graphs with the cache on, off, cold or warm."""
+"""The problem cache: its key, LRU behaviour, its safety bypasses, the
+audit findings it stores, and byte-identical dependence graphs with the
+cache on, off, cold or warm, audited or not."""
 
 import gc
 import weakref
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import delinearize
+from repro.core.delinearize import TraceRow
 from repro.core.cache import (
     CachedOutcome,
     ProblemCache,
@@ -22,6 +24,9 @@ from repro.core.resilience import Budget, BudgetExhausted
 from repro.depgraph import analyze_dependences
 from repro.deptests import BoundedVar, DependenceProblem
 from repro.frontend import parse_fortran
+from repro.lint import audit as audit_module
+from repro.lint import codes
+from repro.lint.diagnostics import Diagnostic
 from repro.symbolic import Assumptions, LinExpr, Poly
 from repro.symbolic.poly import _poly_gcd_cached, poly_gcd
 
@@ -263,14 +268,6 @@ class TestBypasses:
         assert len(cache) == 0
         assert cache.stats.misses == 0  # never even consulted
 
-    def test_keep_trace_bypasses_and_keeps_the_trace(self):
-        cache = ProblemCache()
-        problem = two_level(const=-12)
-        cached_delinearize(problem, cache=cache)  # warm the entry
-        result = cached_delinearize(problem, cache=cache, keep_trace=True)
-        assert result.trace  # a replay could not have produced this
-        assert cache.stats.hits == 0
-
     def test_no_cache_is_plain_delinearize(self):
         problem = two_level(const=-12)
         assert result_tuple(cached_delinearize(problem)) == result_tuple(
@@ -294,6 +291,106 @@ class TestBypasses:
         warm = cached_delinearize(problem, cache=cache, budget=Budget(steps=1))
         assert cache.stats.hits == 1
         assert result_tuple(warm) == result_tuple(fresh)
+
+
+class RecordingAuditor:
+    """An ``audit=`` callable: records what it is handed, finds one
+    unlabelled finding in a fresh result and returns stored findings as
+    they are."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, problem, result):
+        self.calls.append(result)
+        if result.findings is not None:
+            return list(result.findings)
+        return [Diagnostic.make(codes.DS002, "reported")]
+
+
+class TestAuditedEntries:
+    def test_audited_lookup_upgrades_an_unaudited_entry(self):
+        cache = ProblemCache()
+        problem = two_level(const=-12)
+        cached_delinearize(problem, cache=cache)  # an unaudited entry
+        auditor = RecordingAuditor()
+        result = cached_delinearize(problem, cache=cache, audit=auditor)
+        # A miss: the auditor got a freshly solved result with its trace.
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        assert result.trace and result.findings is None
+        assert len(cache) == 1 and cache.stats.stores == 2
+        entry = cache.lookup(problem_key(problem), audited=True)
+        assert entry is not None and len(entry.findings) == 1
+
+    def test_audited_hit_hands_over_the_stored_findings(self):
+        cache = ProblemCache()
+        problem = two_level(const=-12)
+        cold = cached_delinearize(problem, cache=cache, audit=RecordingAuditor())
+        auditor = RecordingAuditor()
+        warm = cached_delinearize(problem, cache=cache, audit=auditor)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert result_tuple(warm) == result_tuple(cold)
+        (handed,) = auditor.calls
+        assert handed is warm and not handed.trace
+        assert [d.code for d in handed.findings] == [codes.DS002]
+
+    def test_unaudited_lookup_hits_an_audited_entry(self):
+        cache = ProblemCache()
+        problem = two_level(const=-12)
+        cached_delinearize(problem, cache=cache, audit=RecordingAuditor())
+        cached_delinearize(problem, cache=cache)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+    def test_trace_is_not_kept_in_the_cache(self):
+        cache = ProblemCache()
+        problem = two_level(const=-12)
+        fresh = cached_delinearize(
+            problem, cache=cache, audit=RecordingAuditor()
+        )
+        assert fresh.trace  # the auditor read it ...
+        entry = cache.lookup(problem_key(problem), audited=True)
+        assert not any(
+            isinstance(value, TraceRow)
+            for value in leaves(tuple(vars(entry).values()))
+        )
+        assert entry.to_result().trace == []  # ... and it was not stored
+
+    def test_nothing_stored_when_the_audit_raises(self):
+        def failing(problem, result):
+            raise RuntimeError("auditor bug")
+
+        cache = ProblemCache()
+        problem = two_level(const=-12)
+        with pytest.raises(RuntimeError):
+            cached_delinearize(problem, cache=cache, audit=failing)
+        assert len(cache) == 0
+        # Nor is an unaudited entry upgraded.
+        cached_delinearize(problem, cache=cache)
+        with pytest.raises(RuntimeError):
+            cached_delinearize(problem, cache=cache, audit=failing)
+        assert cache.lookup(problem_key(problem), audited=True) is None
+
+    def test_exhausted_budget_stores_nothing_audited(self):
+        cache = ProblemCache()
+        auditor = RecordingAuditor()
+        with pytest.raises(BudgetExhausted):
+            cached_delinearize(
+                two_level(const=-12),
+                cache=cache,
+                budget=Budget(steps=1),
+                audit=auditor,
+            )
+        assert len(cache) == 0 and auditor.calls == []
+
+    def test_chaos_active_bypasses_the_cache_audited(self):
+        cache = ProblemCache()
+        auditor = RecordingAuditor()
+        with chaos(1, rate=0.0):
+            cached_delinearize(two_level(const=-12), cache=cache, audit=auditor)
+        assert len(cache) == 0
+        assert cache.stats.misses == 0
+        (handed,) = auditor.calls
+        assert handed.trace
 
 
 FIGURE3 = """
@@ -327,8 +424,6 @@ class TestGraphByteIdentity:
     cache on or off, cold or warm."""
 
     def test_cache_off_matches_cache_on(self):
-        # Unaudited: an audited build selects no cache, so both legs would
-        # solve every pair from scratch.
         with_cache = analyze_dependences(
             parse_fortran(FIGURE3), cache=ProblemCache()
         )
@@ -337,8 +432,6 @@ class TestGraphByteIdentity:
         assert fingerprint(with_cache) == fingerprint(without)
 
     def test_warm_cache_matches_cold(self):
-        # audit=False: the auditor needs the Figure-5 trace, which replaying
-        # a cached outcome cannot provide, so audit runs bypass the cache.
         cache = ProblemCache()
         program = parse_fortran(FIGURE3)
         cold = analyze_dependences(program, cache=cache)
@@ -349,3 +442,78 @@ class TestGraphByteIdentity:
         # already hit intra-run the first time (pairs of one nest produce
         # identical equations).
         assert warm.perf.cache_hits == cold.perf.cache_hits + cold.perf.cache_misses
+
+    def test_audited_cache_off_matches_cache_on(self):
+        with_cache = analyze_dependences(
+            parse_fortran(FIGURE3), audit=True, cache=ProblemCache()
+        )
+        without = analyze_dependences(
+            parse_fortran(FIGURE3), audit=True, use_cache=False
+        )
+        assert with_cache.perf.cache_hits > 0
+        assert fingerprint(with_cache) == fingerprint(without)
+
+    def test_audited_warm_cache_matches_cold(self):
+        cache = ProblemCache()
+        program = parse_fortran(FIGURE3)
+        cold = analyze_dependences(program, audit=True, cache=cache)
+        warm = analyze_dependences(program, audit=True, cache=cache)
+        assert fingerprint(cold) == fingerprint(warm)
+        assert warm.perf.cache_misses == 0
+        assert warm.perf.cache_hits == cold.perf.cache_hits + cold.perf.cache_misses
+
+    def test_audited_build_upgrades_an_unaudited_warm_cache(self):
+        cache = ProblemCache()
+        program = parse_fortran(FIGURE3)
+        plain = analyze_dependences(program, cache=cache)
+        audited = analyze_dependences(program, audit=True, cache=cache)
+        fresh = analyze_dependences(program, audit=True, use_cache=False)
+        # Every distinct problem misses once more, to be audited.
+        assert audited.perf.cache_misses == plain.perf.cache_misses
+        assert fingerprint(audited) == fingerprint(fresh)
+
+
+#: Two statements whose flow pairs are one problem, ``i#1 + 1 - i#2 = 0``.
+TWIN_PAIRS = """
+REAL A(0:99), B(0:99)
+DO 10 i = 0, 98
+A(i+1) = A(i) + 1
+B(i+1) = B(i) + 2
+10 CONTINUE
+"""
+
+
+def test_stored_findings_are_relabelled_per_pair(monkeypatch):
+    """Each pair sharing a key gets the stored finding under its own
+    statement and span, while the check that found it ran once."""
+    real = audit_module._audit_verdict
+    runs = []
+
+    def one_finding(problem, result, statement, span):
+        diags = real(problem, result, statement, span)
+        if problem.equations[0].const != 0:  # the flow pairs only
+            runs.append(statement)
+            diags.append(
+                Diagnostic.make(
+                    codes.DS002, "injected", statement=statement, span=span
+                )
+            )
+        return diags
+
+    monkeypatch.setattr(audit_module, "_audit_verdict", one_finding)
+    cache = ProblemCache()
+    graph = analyze_dependences(
+        parse_fortran(TWIN_PAIRS), audit=True, cache=cache
+    )
+    assert runs == ["S1:A / S1:A"]
+    # The entry holds the finding without the first pair's labels.
+    stored = [f for entry in cache._data.values() for f in entry.findings]
+    assert [(f.statement, f.span, f.message) for f in stored] == [
+        (None, None, "injected")
+    ]
+    assert [
+        (d.statement, d.span.line, d.message) for d in graph.audit_diagnostics
+    ] == [
+        ("S1:A / S1:A", 4, "injected"),
+        ("S2:B / S2:B", 5, "injected"),
+    ]
