@@ -33,6 +33,30 @@ class PairProblem:
         return self.problem is not None and self.unknown_dims == 0
 
 
+def side_subscripts(ref: RefContext, side: int) -> tuple[LinExpr | None, ...]:
+    """``ref``'s subscripts as affine functions, renamed for one side of a pair.
+
+    Loop variable ``i`` becomes ``i#1`` on the first side and ``i#2`` on the
+    second; a subscript that is not affine is None.  Each subscript is
+    lowered once and each side renamed once, on :attr:`RefContext.memo`, so
+    every pair the reference is in shares them.
+    """
+    memo = ref.memo
+    key = f"subscripts#{side}"
+    if key not in memo:
+        if "subscripts" not in memo:
+            loop_vars = set(ref.loop_vars)
+            memo["subscripts"] = tuple(
+                to_linexpr(sub, loop_vars) for sub in ref.ref.subscripts
+            )
+        rename = {name: f"{name}#{side}" for name in ref.loop_vars}
+        memo[key] = tuple(
+            None if form is None else form.rename_vars(rename)
+            for form in memo["subscripts"]
+        )
+    return memo[key]
+
+
 def build_pair_problem(
     ref_a: RefContext,
     ref_b: RefContext,
@@ -52,28 +76,22 @@ def build_pair_problem(
         )
     assumptions = assumptions or Assumptions.empty()
     n_common = common_loop_count(ref_a, ref_b)
-    vars_a = set(ref_a.loop_vars)
-    vars_b = set(ref_b.loop_vars)
-    rename_a = {name: f"{name}#1" for name in vars_a}
-    rename_b = {name: f"{name}#2" for name in vars_b}
 
     notes: list[str] = []
     equations: list[LinExpr] = []
     unknown = 0
-    subs_a = ref_a.ref.subscripts
-    subs_b = ref_b.ref.subscripts
-    if len(subs_a) != len(subs_b):
+    rank_a = len(ref_a.ref.subscripts)
+    rank_b = len(ref_b.ref.subscripts)
+    if rank_a != rank_b:
         notes.append("rank mismatch: no analyzable dimensions")
-        return PairProblem(ref_a, ref_b, None, n_common, 0, max(len(subs_a), len(subs_b)), notes)
-    for dim, (sub_a, sub_b) in enumerate(zip(subs_a, subs_b), start=1):
-        f_a = to_linexpr(sub_a, vars_a)
-        f_b = to_linexpr(sub_b, vars_b)
+        return PairProblem(ref_a, ref_b, None, n_common, 0, max(rank_a, rank_b), notes)
+    forms = zip(side_subscripts(ref_a, 1), side_subscripts(ref_b, 2))
+    for dim, (f_a, f_b) in enumerate(forms, start=1):
         if f_a is None or f_b is None:
             unknown += 1
             notes.append(f"dimension {dim}: non-affine subscript")
             continue
-        equation = f_a.rename_vars(rename_a) - f_b.rename_vars(rename_b)
-        equations.append(equation)
+        equations.append(f_a - f_b)
 
     if not equations:
         return PairProblem(
@@ -81,15 +99,13 @@ def build_pair_problem(
         )
 
     variables: list[BoundedVar] = []
-    for side, (ref, rename) in enumerate(
-        ((ref_a, rename_a), (ref_b, rename_b))
-    ):
+    for side, ref in enumerate((ref_a, ref_b)):
         for level, var in enumerate(ref.loop_vars, start=1):
             if var not in bounds:
                 raise KeyError(f"no bound recorded for loop variable {var!r}")
             variables.append(
                 BoundedVar(
-                    rename[var],
+                    f"{var}#{side + 1}",
                     bounds[var],
                     level if level <= n_common else None,
                     side if level <= n_common else None,

@@ -43,7 +43,11 @@ _FROM_NAME = {v: k for k, v in _NAMES.items()}
 
 @dataclass(frozen=True)
 class DirElem:
-    """One direction-vector element: a non-empty subset of {<, =, >}."""
+    """One direction-vector element: a non-empty subset of {<, =, >}.
+
+    There are only eight masks; the operations below return the shared
+    instance of each (:data:`_ELEMS`) instead of building a new one.
+    """
 
     mask: int
 
@@ -55,23 +59,27 @@ class DirElem:
     def parse(cls, text: str) -> "DirElem":
         if text not in _FROM_NAME:
             raise ValueError(f"unknown direction element {text!r}")
-        return cls(_FROM_NAME[text])
+        return _ELEMS[_FROM_NAME[text]]
 
     def is_empty(self) -> bool:
         return self.mask == 0
 
     def atoms(self) -> list["DirElem"]:
         """The atomic elements contained (subsets of size one)."""
-        return [DirElem(bit) for bit in (LT, EQ, GT) if self.mask & bit]
+        return list(_ATOMS[self.mask])
 
     def __and__(self, other: "DirElem") -> "DirElem":
-        return DirElem(self.mask & other.mask)
+        return _ELEMS[self.mask & other.mask]
 
     def __or__(self, other: "DirElem") -> "DirElem":
-        return DirElem(self.mask | other.mask)
+        return _ELEMS[self.mask | other.mask]
 
     def __contains__(self, other: "DirElem") -> bool:
         return (self.mask & other.mask) == other.mask
+
+    def __hash__(self) -> int:
+        # The value the generated dataclass hash gives, looked up.
+        return _HASHES[self.mask]
 
     def __str__(self) -> str:
         return _NAMES[self.mask]
@@ -80,14 +88,23 @@ class DirElem:
         return f"DirElem({_NAMES[self.mask]!r})"
 
 
+_HASHES = tuple(hash((mask,)) for mask in range(STAR + 1))
+#: The shared element of each mask.
+_ELEMS = tuple(DirElem(mask) for mask in range(STAR + 1))
+#: Each mask's atomic elements, in ``<``, ``=``, ``>`` order.
+_ATOMS = tuple(
+    tuple(_ELEMS[bit] for bit in (LT, EQ, GT) if mask & bit)
+    for mask in range(STAR + 1)
+)
+
 #: Convenient singletons.
-D_LT = DirElem(LT)
-D_EQ = DirElem(EQ)
-D_GT = DirElem(GT)
-D_STAR = DirElem(STAR)
-D_LE = DirElem(LT | EQ)
-D_GE = DirElem(EQ | GT)
-D_NE = DirElem(LT | GT)
+D_LT = _ELEMS[LT]
+D_EQ = _ELEMS[EQ]
+D_GT = _ELEMS[GT]
+D_STAR = _ELEMS[STAR]
+D_LE = _ELEMS[LT | EQ]
+D_GE = _ELEMS[EQ | GT]
+D_NE = _ELEMS[LT | GT]
 
 
 class DirVec(tuple):
@@ -100,8 +117,13 @@ class DirVec(tuple):
         return super().__new__(cls, converted)
 
     @classmethod
+    def _of(cls, elems: Iterable[DirElem]) -> "DirVec":
+        """A vector of elements already known to be :class:`DirElem`."""
+        return tuple.__new__(cls, elems)
+
+    @classmethod
     def star(cls, length: int) -> "DirVec":
-        return cls([D_STAR] * length)
+        return cls._of((D_STAR,) * length)
 
     @classmethod
     def parse(cls, text: str) -> "DirVec":
@@ -120,22 +142,22 @@ class DirVec(tuple):
             raise ValueError("direction vectors of different lengths")
         out = []
         for a, b in zip(self, other):
-            merged = a & b
-            if merged.is_empty():
+            mask = a.mask & b.mask
+            if not mask:
                 return None
-            out.append(merged)
-        return DirVec(out)
+            out.append(_ELEMS[mask])
+        return DirVec._of(out)
 
     def join(self, other: "DirVec") -> "DirVec":
         """Per-position union (used by summarization)."""
         if len(self) != len(other):
             raise ValueError("direction vectors of different lengths")
-        return DirVec([a | b for a, b in zip(self, other)])
+        return DirVec._of([a | b for a, b in zip(self, other)])
 
     def atomic_vectors(self) -> Iterator["DirVec"]:
         """Enumerate all fully-refined (<,=,> only) vectors contained."""
-        for combo in product(*(e.atoms() for e in self)):
-            yield DirVec(combo)
+        for combo in product(*(_ATOMS[e.mask] for e in self)):
+            yield DirVec._of(combo)
 
     def contains(self, other: "DirVec") -> bool:
         return all(b in a for a, b in zip(self, other)) and len(self) == len(other)
@@ -149,8 +171,8 @@ class DirVec(tuple):
                 mask |= GT
             if e.mask & GT:
                 mask |= LT
-            out.append(DirElem(mask))
-        return DirVec(out)
+            out.append(_ELEMS[mask])
+        return DirVec._of(out)
 
     def is_all_equal(self) -> bool:
         return all(e.mask == EQ for e in self)

@@ -8,6 +8,7 @@ lowering) linear functions of the loop variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .expr import ArrayRef, Expr, IntLit
@@ -346,6 +347,17 @@ class RefContext:
     def guarded(self) -> bool:
         """The reference only executes on specific IF branches."""
         return bool(self.guards)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from this reference alone, kept by the analyses
+        that derive them (see :func:`repro.analysis.refpairs.side_subscripts`).
+
+        They live exactly as long as the reference, so no longer than the
+        program it was collected from.  The dataclass is frozen, but
+        ``cached_property`` writes the instance ``__dict__`` directly.
+        """
+        return {}
 
     def __str__(self) -> str:
         kind = "write" if self.is_write else "read"

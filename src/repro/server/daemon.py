@@ -40,7 +40,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.chaos import ChaosError, ChaosState, chaos_point
 from ..lint import codes

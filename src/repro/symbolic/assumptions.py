@@ -44,6 +44,21 @@ _MAX_SHIFT_COMBINATIONS = 64
 _MISSING = object()
 
 
+def _constant(value: PolyLike) -> int | None:
+    """The value of an ``int`` or constant :class:`Poly`; None otherwise.
+
+    ``bool`` and foreign types answer None, so the caller's coercion still
+    raises for them.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Poly):
+        return value.constant_term() if value.is_constant() else None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
 class Assumptions:
     """A set of integer intervals on symbols, e.g. ``{"N": 1}`` for ``N >= 1``.
 
@@ -155,9 +170,11 @@ class Assumptions:
         Returns True when proven, None when unknown.  (The procedure cannot
         prove negations; use ``is_nonneg(-p)`` for the other direction.)
         """
+        if type(p) is int:
+            return True if p >= 0 else None
         p = Poly.coerce(p)
         if p.is_constant():
-            return True if p.as_int() >= 0 else None
+            return True if p.constant_term() >= 0 else None
         cached = self._nonneg_cache.get(p, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
@@ -210,10 +227,16 @@ class Assumptions:
 
     def is_lt(self, a: PolyLike, b: PolyLike) -> bool | None:
         """Prove ``a < b`` (for integer values: ``b - a >= 1``)."""
+        a_int, b_int = _constant(a), _constant(b)
+        if a_int is not None and b_int is not None:
+            return True if a_int < b_int else None
         return self.is_pos(Poly.coerce(b) - Poly.coerce(a))
 
     def is_le(self, a: PolyLike, b: PolyLike) -> bool | None:
         """Prove ``a <= b``."""
+        a_int, b_int = _constant(a), _constant(b)
+        if a_int is not None and b_int is not None:
+            return True if a_int <= b_int else None
         return self.is_nonneg(Poly.coerce(b) - Poly.coerce(a))
 
     def sign(self, p: PolyLike) -> int | None:
@@ -222,11 +245,10 @@ class Assumptions:
         +1 means ``p >= 0`` and p is not the zero polynomial (for sorting by
         magnitude a weak sign suffices); 0 means p is identically zero.
         """
+        value = _constant(p)
+        if value is not None:
+            return (value > 0) - (value < 0)
         p = Poly.coerce(p)
-        if p.is_zero():
-            return 0
-        if p.is_constant():
-            return 1 if p.as_int() > 0 else -1
         if self.is_nonneg(p):
             return 1
         if self.is_nonpos(p):

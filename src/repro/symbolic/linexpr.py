@@ -17,6 +17,8 @@ from .poly import Poly, PolyLike
 
 LinLike = Union["LinExpr", Poly, int]
 
+_ZERO = Poly.const(0)
+
 
 class LinExpr:
     """Immutable affine expression: ``const + sum coeffs[v] * v``.
@@ -26,7 +28,7 @@ class LinExpr:
     'i + 10*j + 5'
     """
 
-    __slots__ = ("_coeffs", "_const")
+    __slots__ = ("_coeffs", "_const", "_hash")
 
     def __init__(
         self,
@@ -35,11 +37,26 @@ class LinExpr:
     ):
         cleaned: dict[str, Poly] = {}
         for name, coeff in (coeffs or {}).items():
-            poly = Poly.coerce(coeff)
-            if not poly.is_zero():
-                cleaned[name] = poly
+            if type(coeff) is not Poly:
+                coeff = Poly.coerce(coeff)
+            if coeff:
+                cleaned[name] = coeff
         self._coeffs = cleaned
-        self._const = Poly.coerce(const)
+        self._const = const if type(const) is Poly else Poly.coerce(const)
+        self._hash: int | None = None
+
+    @classmethod
+    def _of(cls, coeffs: dict[str, Poly], const: Poly) -> "LinExpr":
+        """Wrap non-zero ``Poly`` coefficients and a ``Poly`` constant as is.
+
+        ``coeffs`` may be shared with another expression: no expression
+        ever mutates its own.
+        """
+        expr = object.__new__(cls)
+        expr._coeffs = coeffs
+        expr._const = const
+        expr._hash = None
+        return expr
 
     # -- constructors ------------------------------------------------------
 
@@ -72,7 +89,7 @@ class LinExpr:
 
     def coeff(self, name: str) -> Poly:
         """Coefficient of variable ``name`` (zero when absent)."""
-        return self._coeffs.get(name, Poly())
+        return self._coeffs.get(name, _ZERO)
 
     def variables(self) -> set[str]:
         return set(self._coeffs)
@@ -100,15 +117,23 @@ class LinExpr:
 
     def __add__(self, other: LinLike) -> "LinExpr":
         other = LinExpr.coerce(other)
+        if not other._coeffs:
+            return LinExpr._of(self._coeffs, self._const + other._const)
         coeffs = dict(self._coeffs)
         for name, coeff in other._coeffs.items():
-            coeffs[name] = coeffs.get(name, Poly()) + coeff
-        return LinExpr(coeffs, self._const + other._const)
+            total = coeffs[name] + coeff if name in coeffs else coeff
+            if total:
+                coeffs[name] = total
+            else:
+                del coeffs[name]
+        return LinExpr._of(coeffs, self._const + other._const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({n: -c for n, c in self._coeffs.items()}, -self._const)
+        return LinExpr._of(
+            {n: -c for n, c in self._coeffs.items()}, -self._const
+        )
 
     def __sub__(self, other: LinLike) -> "LinExpr":
         return self + (-LinExpr.coerce(other))
@@ -143,7 +168,7 @@ class LinExpr:
         coeffs: dict[str, Poly] = {}
         for name, coeff in self._coeffs.items():
             new = mapping.get(name, name)
-            coeffs[new] = coeffs.get(new, Poly()) + coeff
+            coeffs[new] = coeffs[new] + coeff if new in coeffs else coeff
         return LinExpr(coeffs, self._const)
 
     def subs_symbols(self, mapping: Mapping[str, PolyLike]) -> "LinExpr":
@@ -177,7 +202,9 @@ class LinExpr:
         return self._coeffs == other._coeffs and self._const == other._const
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._coeffs.items()), self._const))
+        if self._hash is None:
+            self._hash = hash((frozenset(self._coeffs.items()), self._const))
+        return self._hash
 
     # -- display ------------------------------------------------------------------
 

@@ -26,6 +26,12 @@ PolyLike = Union["Poly", int]
 
 _CONST_MONO: Monomial = ()
 
+#: Constants in ``[-_SMALL_LIMIT, _SMALL_LIMIT]`` are interned on first
+#: use: concrete dependence problems build the same few coefficients, bounds
+#: and remainders over and over, and a shared instance keeps its hash.
+_SMALL_LIMIT = 1024
+_SMALL: dict[int, "Poly"] = {}
+
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Multiply two monomials (merge exponent maps)."""
@@ -101,12 +107,31 @@ class Poly:
         self._terms: dict[Monomial, int] = cleaned
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> "Poly":
+        """Wrap ``terms``, which has no zero coefficient and is not shared.
+
+        The constructor for results the arithmetic already knows are clean:
+        it neither copies nor re-filters them.
+        """
+        poly = object.__new__(cls)
+        poly._terms = terms
+        poly._hash = None
+        return poly
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, value: int) -> "Poly":
         """The constant polynomial ``value``."""
-        return cls({_CONST_MONO: int(value)})
+        poly = _SMALL.get(value)
+        if poly is not None:
+            return poly
+        value = int(value)
+        poly = cls._of({_CONST_MONO: value} if value else {})
+        if -_SMALL_LIMIT <= value <= _SMALL_LIMIT:
+            _SMALL[value] = poly
+        return poly
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
@@ -120,6 +145,8 @@ class Poly:
         """Convert an ``int`` (or pass through a :class:`Poly`)."""
         if isinstance(value, Poly):
             return value
+        if type(value) is int:
+            return cls.const(value)
         if isinstance(value, bool):
             raise TypeError("bool is not a polynomial")
         if isinstance(value, int):
@@ -138,7 +165,8 @@ class Poly:
 
     def is_constant(self) -> bool:
         """True when the polynomial mentions no symbols."""
-        return all(m == _CONST_MONO for m in self._terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and _CONST_MONO in terms)
 
     def as_int(self) -> int:
         """The value of a constant polynomial.
@@ -204,20 +232,37 @@ class Poly:
         return None
 
     def __add__(self, other: PolyLike) -> "Poly":
-        other = Poly._try_coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is int:
+            if not other:
+                return self
+            terms = self._terms
+            if not terms or (len(terms) == 1 and _CONST_MONO in terms):
+                return Poly.const(terms.get(_CONST_MONO, 0) + other)
+            other = Poly.const(other)
+        else:
+            other = Poly._try_coerce(other)
+            if other is None:
+                return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return Poly(terms)
+            total = terms.get(mono, 0) + coeff
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return Poly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        terms = self._terms
+        if not terms or (len(terms) == 1 and _CONST_MONO in terms):
+            return Poly.const(-terms.get(_CONST_MONO, 0))
+        return Poly._of({m: -c for m, c in terms.items()})
 
     def __sub__(self, other: PolyLike) -> "Poly":
+        if type(other) is int:
+            return self + (-other)
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
@@ -233,6 +278,18 @@ class Poly:
         other = Poly._try_coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_constant():
+            factor, scaled = other.constant_term(), self
+        elif self.is_constant():
+            factor, scaled = self.constant_term(), other
+        else:
+            factor = None
+        if factor is not None:
+            # A non-zero constant factor scales every coefficient: none
+            # becomes zero.
+            if not factor or scaled.is_constant():
+                return Poly.const(factor * scaled.constant_term())
+            return Poly._of({m: c * factor for m, c in scaled._terms.items()})
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -307,6 +364,9 @@ class Poly:
         if not divisor.is_single_term():
             raise ValueError(f"divisor {divisor} is not a single term")
         ((gmono, gcoeff),) = divisor._terms.items()
+        if not gmono and self.is_constant():
+            q, r = divmod(self._terms.get(_CONST_MONO, 0), gcoeff)
+            return Poly.const(q), Poly.const(r)
         q_terms: dict[Monomial, int] = {}
         r_terms: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
@@ -318,7 +378,7 @@ class Poly:
                     r_terms[mono] = r
             else:
                 r_terms[mono] = coeff
-        return Poly(q_terms), Poly(r_terms)
+        return Poly._of(q_terms), Poly._of(r_terms)
 
     def exact_div(self, divisor: int) -> "Poly":
         """Divide every coefficient by an integer that must divide exactly."""
@@ -329,7 +389,7 @@ class Poly:
             if coeff % divisor:
                 raise ValueError(f"{divisor} does not divide {self}")
             terms[mono] = coeff // divisor
-        return Poly(terms)
+        return Poly._of(terms)
 
     # -- comparisons / hashing ----------------------------------------------
 
