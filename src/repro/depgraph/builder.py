@@ -423,7 +423,8 @@ def analyze_dependences(
     ``REAL A(0:N*N*N-1)``) made automatic.  ``analysis`` is the program's
     interval analysis (as :func:`repro.lint.ranges.derive_assumptions`
     takes it) when the caller already ran it, as lint does; otherwise it
-    runs here.
+    runs here.  A derivation the caller already made from the same
+    analysis and assumptions is stored on the analysis and reused.
 
     Each dependence pair runs inside an exception barrier with a fresh work
     budget of ``pair_budget`` steps (None disables metering).  A pair whose

@@ -25,6 +25,7 @@ the program instead of assuming it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -211,14 +212,16 @@ def solve(
         node.id: init for node in cfg.nodes
     }
     state[start] = boundary
-    worklist = [node.id for node in cfg.nodes]
+    worklist = deque(node.id for node in cfg.nodes)
+    queued = set(worklist)
     edges_in = (
         {n.id: n.preds for n in cfg.nodes}
         if forward
         else {n.id: n.succs for n in cfg.nodes}
     )
     while worklist:
-        nid = worklist.pop(0)
+        nid = worklist.popleft()
+        queued.discard(nid)
         node = cfg.nodes[nid]
         if nid != start:
             incoming = init
@@ -231,7 +234,8 @@ def solve(
             state[nid] = incoming
         followers = node.succs if forward else node.preds
         for follower in followers:
-            if follower not in worklist:
+            if follower not in queued:
+                queued.add(follower)
                 worklist.append(follower)
     return state
 

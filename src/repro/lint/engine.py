@@ -9,7 +9,8 @@ normalization, induction-variable substitution), then runs, in order:
 3. the interval range analysis and its bounds checks
    (:mod:`repro.lint.ranges`, ``DB`` codes), run under assumptions enriched
    with declaration-derived and interval-derived facts; the dependence
-   graph below reuses the same analysis;
+   graph below reuses the same analysis and the facts derived from it
+   (stored on the analysis, so they are derived once);
 4. optionally the delinearization soundness auditor
    (:mod:`repro.lint.audit`, ``DS`` codes) over every dependence problem the
    program gives rise to;

@@ -25,6 +25,16 @@ The results feed three consumers:
   cross an aliased member's extent, and induction variables whose range
   overflows the dimension the delinearizer would recover.
 
+No pass rescans the program once per scalar or per COMMON member, and
+each runs once per lint.  The worklist queues a node at most once at a
+time.  The first :meth:`RangeAnalysis.read_hull` call builds the read-site
+hulls of all scalars in one pass over the CFG.  Given a program's analysis,
+:func:`derive_assumptions` stores its result on that analysis, keyed by
+the base assumptions, so lint's ``DB`` checks and the dependence graph it
+builds share one derivation; the store dies with the analysis.  A linear
+bound ``a*N + b``, the per-pair case, is inverted in closed form rather
+than by binary search.
+
 Everything here is sound with respect to the reference interpreter
 (:mod:`repro.ir.interp`): for any execution that does not abort, every value
 a scalar holds at a program point lies inside the point's inferred interval
@@ -33,7 +43,8 @@ a scalar holds at a program point lies inside the point's inferred interval
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..ir import (
@@ -54,7 +65,7 @@ from ..ir import (
 from ..ir.fold import fold
 from ..symbolic import Assumptions, Poly
 from . import codes
-from .dataflow import CFG, CFGNode, _scalar_reads, build_cfg
+from .dataflow import CFG, CFGNode, _scalar_reads, assigned_scalars, build_cfg
 from .diagnostics import Diagnostic
 
 #: Loop-header visits joined plainly before widening kicks in.  A short
@@ -271,6 +282,14 @@ class RangeAnalysis:
     cfg: CFG
     params: dict[str, Interval]
     env_in: dict[int, "dict[str, Interval] | None"]
+    #: Read-site hull of every scalar, built by one CFG pass on first use.
+    _hulls: dict[str, Interval] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: :func:`derive_assumptions` results, keyed by the base assumptions.
+    _derived: dict[tuple, Assumptions] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def interval_at(self, node_id: int, name: str) -> Interval:
         """The interval of ``name`` on entry to a CFG node."""
@@ -307,20 +326,26 @@ class RangeAnalysis:
         Sound fact about every *read* of the scalar (unlike a join over all
         points, it is unaffected by program regions where the scalar holds a
         different value but is never consulted).  TOP when never read.
+        The first call builds the hulls of all scalars in one CFG pass.
         """
+        if self._hulls is None:
+            self._hulls = self._read_hulls()
+        return self._hulls.get(name, TOP)
+
+    def _read_hulls(self) -> dict[str, Interval]:
         arrays = set(self.program.decls)
-        hull: Interval | None = None
+        hulls: dict[str, Interval] = {}
         for node in self.cfg.nodes:
             if node.kind not in ("assign", "loop"):
                 continue
-            if name not in _scalar_reads(node, arrays):
-                continue
             env = self.env_in.get(node.id)
             if env is None:
-                continue  # unreachable read constrains nothing
-            value = self._lookup(name, env)
-            hull = value if hull is None else hull.join(value)
-        return hull if hull is not None else TOP
+                continue  # unreachable reads constrain nothing
+            for name in _scalar_reads(node, arrays):
+                value = self._lookup(name, env)
+                hull = hulls.get(name)
+                hulls[name] = value if hull is None else hull.join(value)
+        return hulls
 
     def _lookup(self, name: str, env: dict[str, Interval]) -> Interval:
         if name in env:
@@ -350,9 +375,11 @@ def analyze_ranges(
     analysis.env_in = env_in
 
     visits: dict[int, int] = {}
-    worklist = [node.id for node in cfg.nodes]
+    worklist = deque(node.id for node in cfg.nodes)
+    queued = set(worklist)
     while worklist:
-        nid = worklist.pop(0)
+        nid = worklist.popleft()
+        queued.discard(nid)
         node = cfg.nodes[nid]
         if nid != cfg.entry.id:
             incoming = None
@@ -372,7 +399,8 @@ def analyze_ranges(
                 continue
             env_in[nid] = incoming
         for succ in node.succs:
-            if succ not in worklist:
+            if succ not in queued:
+                queued.add(succ)
                 worklist.append(succ)
 
     # Descending sweeps: re-apply the transfer functions without widening
@@ -482,6 +510,8 @@ def declared_bound_assumptions(
     result = base or Assumptions.empty()
     for decl in program.decls.values():
         for dim in decl.dims:
+            if isinstance(dim.lower, IntLit) and isinstance(dim.upper, IntLit):
+                continue  # a constant extent bounds no symbol
             extent = to_poly(
                 fold(BinOp("+", BinOp("-", dim.upper, dim.lower), IntLit(1)))
             )
@@ -533,12 +563,30 @@ def derive_assumptions(
     like ``M = 100`` transparent to the dependence tests that treat them as
     opaque symbols.  (Loop-execution facts are per-pair; see
     :func:`nonempty_loop_assumptions`.)
+
+    Given the ``analysis`` of ``program``, the result is stored on it,
+    keyed by the base ``assumptions``, so the lint pass and the dependence
+    graph it builds derive once; the store dies with the analysis.
     """
+    if analysis is None or analysis.program is not program:
+        return _derive(program, assumptions, analysis)
+    key = tuple(assumptions.items()) if assumptions is not None else ()
+    derived = analysis._derived.get(key)
+    if derived is None:
+        derived = analysis._derived[key] = _derive(
+            program, assumptions, analysis
+        )
+    return derived
+
+
+def _derive(
+    program: Program,
+    assumptions: Assumptions | None,
+    analysis: RangeAnalysis | None,
+) -> Assumptions:
     result = declared_bound_assumptions(program, assumptions)
     if analysis is None:
         analysis = analyze_ranges(program, result)
-    from .dataflow import assigned_scalars
-
     loop_vars = program.loop_variables()
     for name in sorted(assigned_scalars(program.body) - loop_vars):
         hull = analysis.read_hull(name)
@@ -553,18 +601,28 @@ def _invert_monotone(poly: Poly, target: int) -> tuple[str, int] | None:
 
     Only handles polynomials in one symbol that are strictly increasing over
     all of Z (every non-constant term has a positive coefficient and an odd
-    exponent); returns ``(symbol, minimal n)`` or None.
+    exponent); returns ``(symbol, minimal n)`` or None.  The answer must lie
+    in ``(-2**40, 2**40]``: a linear ``a*n + b`` is solved in closed form,
+    higher odd degrees by binary search over that window.
     """
     symbols = poly.symbols()
     if len(symbols) != 1:
         return None
     (symbol,) = symbols
-    for mono, coeff in poly.terms.items():
+    terms = poly.terms
+    for mono, coeff in terms.items():
         if not mono:
             continue
         ((_, exponent),) = mono
         if coeff <= 0 or exponent % 2 == 0:
             return None
+    if poly.degree() == 1:
+        # a*n + b >= target  <=>  n >= ceil((target - b) / a), as a > 0.
+        slope = terms[((symbol, 1),)]
+        minimum = -((poly.constant_term() - target) // slope)
+        if -_BOUND_SEARCH_LIMIT < minimum <= _BOUND_SEARCH_LIMIT:
+            return symbol, minimum
+        return None
     lo, hi = -_BOUND_SEARCH_LIMIT, _BOUND_SEARCH_LIMIT
     if poly.evaluate({symbol: hi}) < target:
         return None
@@ -801,6 +859,16 @@ def _check_common_extents(
     """``DB003`` (COMMON): a member reference running into its successor."""
     from ..analysis.linearize import LinearizationError, layout_of
 
+    members = {m for block in program.commons for m in block.members}
+    if not members:
+        return
+    # One pass groups the member references.  The checks below visit them
+    # block by block and member by member, which fixes the findings' order.
+    refs_of: dict[str, list] = {}
+    for node, stmt, env in _assign_nodes(analysis):
+        for ref, _is_write in stmt.refs():
+            if ref.array in members:
+                refs_of.setdefault(ref.array, []).append((stmt, env, ref))
     for block in program.commons:
         for member in block.members:
             decl = program.array(member)
@@ -813,23 +881,20 @@ def _check_common_extents(
             size = analysis.eval(layout.size(), None)
             if not size.is_point():
                 continue
-            for node, stmt, env in _assign_nodes(analysis):
-                for ref, _is_write in stmt.refs():
-                    if ref.array != member:
-                        continue
-                    if len(ref.subscripts) != layout.rank:
-                        continue
-                    try:
-                        offset = layout.offset(ref.subscripts)
-                    except LinearizationError:
-                        continue
-                    span = analysis.eval(offset, env)
-                    if span.hi is None or span.hi < size.lo:
-                        continue
-                    label = f"/{block.name}/" if block.name else "blank"
-                    emit(
-                        codes.DB003,
-                        f"{ref}: storage offsets {span} run past the "
-                        f"extent {size.lo} of {member} in COMMON {label}",
-                        stmt,
-                    )
+            for stmt, env, ref in refs_of.get(member, ()):
+                if len(ref.subscripts) != layout.rank:
+                    continue
+                try:
+                    offset = layout.offset(ref.subscripts)
+                except LinearizationError:
+                    continue
+                span = analysis.eval(offset, env)
+                if span.hi is None or span.hi < size.lo:
+                    continue
+                label = f"/{block.name}/" if block.name else "blank"
+                emit(
+                    codes.DB003,
+                    f"{ref}: storage offsets {span} run past the "
+                    f"extent {size.lo} of {member} in COMMON {label}",
+                    stmt,
+                )

@@ -1,12 +1,19 @@
 """Interval analysis: domain algebra, soundness vs the interpreter, DB codes."""
 
+from collections import Counter
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import normalize_program
+from repro.corpus.generator import generate_program
 from repro.frontend import parse_fortran
 from repro.ir import Assignment, BinOp, IntLit, Loop, Name, Program
 from repro.ir.interp import eval_expr, execute_assignment, Store
+from repro.lint import ranges
+from repro.lint.dataflow import _scalar_reads, assigned_scalars, build_cfg
 from repro.lint.ranges import (
     TOP,
     Interval,
@@ -396,6 +403,16 @@ class TestBoundsDiagnostics:
         assert len(warnings) == 1
         assert "COMMON /BLK/" in warnings[0].message
 
+    def test_db003_common_overruns_report_in_member_order(self):
+        # Both members of one statement overrun: the findings follow the
+        # COMMON list (C, then D), not the statement's reference order.
+        diags = db_codes(
+            "REAL C(0:9)\nREAL D(0:9)\nREAL E(0:9)\nCOMMON /BLK/ C, D, E\n"
+            "DO i = 0, 15\nD(i) = C(i)\nENDDO\n"
+        )
+        warnings = [d.message for d in diags if d.code == "DB003"]
+        assert [message.split("(")[0] for message in warnings] == ["C", "D"]
+
     def test_in_bounds_program_is_clean(self):
         diags = db_codes(
             "REAL C(0:99)\nDO i = 0, 9\nDO j = 0, 9\n"
@@ -429,3 +446,195 @@ class TestEngineIntegration:
         assert not any(
             d.code.startswith("DB") for d in off.diagnostics
         )
+
+
+# ---------------------------------------------------------------------------
+# Linear passes: one hull scan, one derivation, no search for linear bounds
+# ---------------------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def corpus_source(seed):
+    return generate_program(
+        f"R{seed}", lines=150, linearized_nests=12, seed=seed
+    ).source
+
+
+def reference_hull(analysis, name):
+    """The per-name scan ``read_hull`` replaced: every node, every name."""
+    arrays = set(analysis.program.decls)
+    hull = None
+    for node in analysis.cfg.nodes:
+        if node.kind not in ("assign", "loop"):
+            continue
+        if name not in _scalar_reads(node, arrays):
+            continue
+        if analysis.env_in.get(node.id) is None:
+            continue
+        value = analysis.interval_at(node.id, name)
+        hull = value if hull is None else hull.join(value)
+    return TOP if hull is None else hull
+
+
+def lint_graphs(source, language="fortran", **kwargs):
+    """``lint_source``'s report and the graphs it built."""
+    import repro.depgraph as depgraph
+    from repro.lint.engine import lint_source
+
+    graphs = []
+    original = depgraph.analyze_dependences
+
+    def capture(*args, **options):
+        graphs.append(original(*args, **options))
+        return graphs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depgraph, "analyze_dependences", capture)
+        return lint_source(source, language=language, **kwargs), graphs
+
+
+class TestLinearPasses:
+    def test_read_hulls_scan_each_node_at_most_once(self, monkeypatch):
+        from repro.lint.engine import lint_source
+
+        scanned = Counter()
+        real = ranges._scalar_reads
+
+        def counting(node, arrays):
+            scanned[node.id] += 1
+            return real(node, arrays)
+
+        monkeypatch.setattr(ranges, "_scalar_reads", counting)
+        report = lint_source(corpus_source(1), schedule=True)
+        nodes = len(build_cfg(report.program).nodes)
+        assert 0 < sum(scanned.values()) <= nodes
+        assert set(scanned.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "assumed", [None, Assumptions({"NX": 4})], ids=["none", "NX>=4"]
+    )
+    def test_derivation_runs_once_per_lint(self, monkeypatch, assumed):
+        from repro.lint.engine import lint_source
+
+        derived = []
+        real = ranges._derive
+
+        def counting(*args):
+            derived.append(real(*args))
+            return derived[-1]
+
+        monkeypatch.setattr(ranges, "_derive", counting)
+        report, graphs = lint_graphs(
+            corpus_source(1), assumptions=assumed, schedule=True
+        )
+        assert len(graphs) == 1 and graphs[0].edges
+        assert len(derived) == 1
+        # Each lint derives afresh: nothing outlives its analysis.
+        lint_source(corpus_source(1), assumptions=assumed)
+        assert len(derived) == 2
+
+    def test_linear_bounds_need_no_search(self, monkeypatch):
+        from repro.lint.engine import lint_source
+
+        evaluated = []
+        real_evaluate = Poly.evaluate
+
+        def counting_evaluate(poly, values):
+            evaluated.append(poly)
+            return real_evaluate(poly, values)
+
+        inverted = []
+        real_invert = ranges._invert_monotone
+
+        def watching(poly, target):
+            before = len(evaluated)
+            result = real_invert(poly, target)
+            inverted.append((poly, len(evaluated) - before, result))
+            return result
+
+        monkeypatch.setattr(Poly, "evaluate", counting_evaluate)
+        monkeypatch.setattr(ranges, "_invert_monotone", watching)
+        lint_source(corpus_source(1), schedule=True)
+        linear = [entry for entry in inverted if entry[0].degree() == 1]
+        assert linear, "the corpus program has symbolic loop bounds"
+        assert any(result is not None for _, _, result in linear)
+        assert [searched for _, searched, _ in linear] == [0] * len(linear)
+        # Higher odd degrees still search: the paper's N**3 extent.
+        evaluated.clear()
+        assert real_invert(N * N * N, 1) == ("N", 1)
+        assert evaluated
+
+    @pytest.mark.parametrize(
+        "name,source",
+        [(f"corpus-{seed}", corpus_source(seed)) for seed in (1, 2, 3)]
+        + [
+            (path.name, path.read_text())
+            for path in sorted(EXAMPLES.glob("*.f"))
+        ],
+    )
+    def test_one_pass_hulls_equal_per_name_scan(self, name, source):
+        program = program_of(source)
+        analysis = analyze_ranges(
+            program, declared_bound_assumptions(program)
+        )
+        arrays = set(program.decls)
+        names = {"NEVER_READ"} | assigned_scalars(program.body)
+        for node in analysis.cfg.nodes:
+            names |= _scalar_reads(node, arrays)
+        for scalar in sorted(names):
+            assert analysis.read_hull(scalar) == reference_hull(
+                analysis, scalar
+            ), scalar
+
+    def test_stored_derivation_is_keyed_by_base_assumptions(self):
+        source = "REAL A(0:N-1)\nM = 100\nDO i = 0, 9\nA(i) = M\nENDDO\n"
+        program = program_of(source)
+        analysis = analyze_ranges(
+            program, declared_bound_assumptions(program)
+        )
+        bare = derive_assumptions(program, None, analysis)
+        four = derive_assumptions(program, Assumptions({"N": 4}), analysis)
+        assert bare.lower_bound("N") == 1
+        assert four.lower_bound("N") == 4
+        assert bare.interval("M") == four.interval("M") == (100, 100)
+        # Equal bases share one derivation; no base is the empty base.
+        assert derive_assumptions(program, Assumptions.empty(), analysis) is bare
+        assert (
+            derive_assumptions(program, Assumptions({"N": 4}), analysis)
+            is four
+        )
+        # Another program never reads this analysis's store.
+        other = program_of(source)
+        assert derive_assumptions(other, None, analysis) is not bare
+
+    @pytest.mark.parametrize(
+        "assumed", [None, Assumptions({"N": 4})], ids=["none", "N>=4"]
+    )
+    @pytest.mark.parametrize(
+        "path",
+        sorted([*EXAMPLES.glob("*.f"), *EXAMPLES.glob("*.c")]),
+        ids=lambda path: path.name,
+    )
+    def test_lint_graph_equals_cold_graph(self, path, assumed):
+        from repro.depgraph import analyze_dependences
+
+        language = "c" if path.suffix == ".c" else "fortran"
+        report, graphs = lint_graphs(
+            path.read_text(), language, assumptions=assumed, schedule=True
+        )
+        if not graphs:  # DB errors stop lint before the graph passes
+            assert report.error_count
+            return
+        (graph,) = graphs
+        cold = analyze_dependences(
+            report.program,
+            assumptions=assumed,
+            normalized=True,
+            audit=True,
+            use_cache=False,
+        )
+        assert graph.format_table() == cold.format_table()
+        assert [str(e) for e in graph.edges] == [str(e) for e in cold.edges]
+        assert graph.audit_diagnostics == cold.audit_diagnostics
+        assert graph.degradations == cold.degradations

@@ -216,7 +216,7 @@ class TestSplitLeafCap:
     """Case splits double per level: a 10-level linearized equation whose
     constant misses every barrier would make 512 leaf cases.  Its case tree
     is sized before the first split, so it stays unsplit, does no case work
-    and is not slower than the scan without splits."""
+    and spends no more scan steps than the scan without splits."""
 
     @staticmethod
     def _ten_levels():
@@ -232,8 +232,9 @@ class TestSplitLeafCap:
         )
 
     def test_ten_levels_stay_under_the_leaf_cap(self, monkeypatch):
-        import time
         from importlib import import_module
+
+        from repro.core.resilience import Budget
 
         scan = import_module("repro.core.delinearize")
         problem = self._ten_levels()
@@ -245,23 +246,20 @@ class TestSplitLeafCap:
             lambda s, head: heads.append(head) or solve_head(s, head),
         )
 
-        def best(reps=5):
-            times = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                result = delinearize(problem, keep_trace=True)
-                times.append(time.perf_counter() - start)
-            return min(times), result
+        def solve():
+            budget = Budget(steps=10**9)
+            result = delinearize(problem, keep_trace=True, budget=budget)
+            return budget.limit - budget.remaining, result
 
-        split_time, result = best()
+        split_steps, result = solve()
         assert heads == []
         assert not any(row.cases for row in result.trace)
         monkeypatch.setattr(scan, "SPLIT_CASE_LIMIT", 0)
-        unsplit_time, unsplit = best()
+        unsplit_steps, unsplit = solve()
         assert result.format_trace() == unsplit.format_trace()
         assert result.direction_vectors == unsplit.direction_vectors
-        # Timing noise is real; only insist on a loose margin.
-        assert split_time <= unsplit_time * 1.5
+        # Work, not wall time: the step count is deterministic.
+        assert split_steps <= unsplit_steps
 
 
 class TestEmptyLoopRange:
