@@ -4,13 +4,13 @@ Five pillars:
 
 * :mod:`repro.lint.diagnostics` — structured, coded, span-carrying
   diagnostics with text and JSON renderers;
-* :mod:`repro.lint.dataflow` — a CFG + worklist fixed-point framework over
-  the loop-nest IR with reaching definitions, use-def chains,
-  uninitialized-read detection and loop-invariance classification;
-* :mod:`repro.lint.ranges` — interval abstract interpretation over the same
-  CFG: per-point value ranges, auto-derived :class:`repro.symbolic.Assumptions`
-  (declared extents, loop ranges, interval facts) and the ``DB`` family of
-  array-bounds diagnostics;
+* :mod:`repro.lint.dataflow` — the CFG of the loop-nest IR and the one
+  forward worklist fixed-point solver, with reaching definitions, use-def
+  chains, uninitialized-read detection and loop-invariance classification;
+* :mod:`repro.lint.ranges` — interval abstract interpretation on the same
+  solver and the same CFG (built once per lint): per-point value ranges,
+  auto-derived :class:`repro.symbolic.Assumptions` (declared extents, loop
+  ranges, interval facts) and the ``DB`` family of array-bounds diagnostics;
 * :mod:`repro.lint.audit` — the delinearization soundness auditor, which
   independently re-verifies every dimension barrier, verdict and
   direction-vector set the analyzer produces;

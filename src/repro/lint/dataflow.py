@@ -6,16 +6,18 @@ assignment or CALL, one header node per loop with a back edge from the end of
 its body and a bypass edge for the zero-trip case, one branch node per IF
 with an edge into each arm, plus synthetic entry/exit nodes.
 
-On top of a generic worklist solver (:func:`solve`) the module provides the
-classic passes the lint engine needs:
+:func:`solve` is the one forward worklist fixed-point solver of the lint
+passes: reaching definitions here and the interval analysis of
+:mod:`repro.lint.ranges` (which adds widening at loop headers) both run on
+it, over one CFG per lint.  On top of it the module provides the passes
+the lint engine needs:
 
 * reaching definitions and use-def chains for scalars,
-* postdominators and the control-dependence relation
-  (Ferrante-Ottenstein-Warren over the postdominator sets),
 * maybe-uninitialized-read detection (``DF001``),
 * loop-invariance classification of the symbols that appear in subscripts,
   loop bounds and user assumptions (``DF002``/``DF003``/``DF004``),
-* control-dependent induction mutation detection (``CD002``).
+* control-dependent induction mutation detection (``CD002``), read off the
+  IF-guard stack of each statement.
 
 The invariance classification is what lets the dependence analysis treat a
 symbolic coefficient such as ``N`` in ``A(N*N*k + N*j + i)`` as a genuine
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..ir import (
     ArrayRef,
@@ -73,9 +75,6 @@ class CFG:
     @property
     def exit(self) -> CFGNode:
         return self.nodes[1]
-
-    def __iter__(self) -> Iterator[CFGNode]:
-        return iter(self.nodes)
 
 
 def build_cfg(program: Program) -> CFG:
@@ -139,104 +138,68 @@ def build_cfg(program: Program) -> CFG:
     return CFG(nodes)
 
 
-# -- postdominators and control dependence ------------------------------------
+# -- the fixed-point solver ---------------------------------------------------
 
 
-def postdominators(cfg: CFG) -> dict[int, frozenset]:
-    """Postdominator sets (every node postdominates itself).
-
-    Standard iterative intersection over the reversed graph; the CFG is tiny
-    (one node per statement) so set-based convergence is plenty fast.
-    """
-    all_ids = frozenset(node.id for node in cfg.nodes)
-    pdom: dict[int, frozenset] = {node.id: all_ids for node in cfg.nodes}
-    pdom[cfg.exit.id] = frozenset({cfg.exit.id})
-    changed = True
-    while changed:
-        changed = False
-        for node in reversed(cfg.nodes):
-            if node.id == cfg.exit.id:
-                continue
-            if node.succs:
-                new = frozenset.intersection(
-                    *(pdom[s] for s in node.succs)
-                ) | {node.id}
-            else:
-                new = frozenset({node.id})
-            if new != pdom[node.id]:
-                pdom[node.id] = new
-                changed = True
-    return pdom
-
-
-def control_dependences(cfg: CFG) -> dict[int, set[int]]:
-    """Node id -> ids of the branch/loop nodes it is control-dependent on.
-
-    Ferrante-Ottenstein-Warren, phrased over postdominator sets: ``N`` is
-    control-dependent on ``A`` iff ``A`` has an edge to some ``B`` with ``N``
-    postdominating ``B`` but not strictly postdominating ``A``.  Loop headers
-    count: their body is control-dependent on the zero-trip test, which is
-    exactly the classical result.
-    """
-    pdom = postdominators(cfg)
-    deps: dict[int, set[int]] = {node.id: set() for node in cfg.nodes}
-    for node in cfg.nodes:
-        if len(node.succs) < 2:
+def incoming_state(cfg: CFG, state: dict, node: CFGNode, transfer, join):
+    """Join of what every reached predecessor sends along its edge to
+    ``node``; ``None`` when no predecessor is reached (or every edge is
+    infeasible, which ``transfer`` signals by returning ``None``)."""
+    incoming = None
+    for pred_id in node.preds:
+        facts = state[pred_id]
+        if facts is None:
             continue
-        strict = pdom[node.id] - {node.id}
-        for succ in node.succs:
-            for dependent in pdom[succ]:
-                if dependent not in strict:
-                    deps[dependent].add(node.id)
-    return deps
+        out = transfer(cfg.nodes[pred_id], facts, node)
+        if out is not None:
+            incoming = out if incoming is None else join(incoming, out)
+    return incoming
 
 
 def solve(
     cfg: CFG,
     *,
-    direction: str,
-    init: frozenset,
-    boundary: frozenset,
-    transfer: Callable[[CFGNode, frozenset], frozenset],
-    join: Callable[[frozenset, frozenset], frozenset] = frozenset.union,
-) -> dict[int, frozenset]:
-    """Generic worklist fixed-point solver.
+    boundary,
+    transfer: Callable,
+    join: Callable,
+    widen: Callable | None = None,
+) -> dict:
+    """Forward worklist fixed-point solver; returns the IN state of every node.
 
-    Returns the IN set of every node for a forward problem, the OUT set for a
-    backward one.  ``boundary`` seeds the entry (forward) or exit (backward)
-    node; ``init`` is the optimistic starting value everywhere else.
+    ``boundary`` seeds the entry node; ``None`` is the state of a node not
+    (yet) reached.  ``transfer(pred, state, succ)`` is what ``pred`` sends
+    along its edge to ``succ``, and ``join`` merges two states (neither is
+    ever ``None``).  A loop header combines its previous state with the
+    incoming one by ``join``, or by ``widen(old, new, visits)`` when given,
+    ``visits`` counting the times the header has been recomputed.
     """
-    forward = direction == "forward"
-    start = cfg.entry.id if forward else cfg.exit.id
-    state: dict[int, frozenset] = {
-        node.id: init for node in cfg.nodes
-    }
-    state[start] = boundary
+    entry = cfg.entry.id
+    state: dict = {node.id: None for node in cfg.nodes}
+    state[entry] = boundary
+    visits: dict[int, int] = {}
     worklist = deque(node.id for node in cfg.nodes)
     queued = set(worklist)
-    edges_in = (
-        {n.id: n.preds for n in cfg.nodes}
-        if forward
-        else {n.id: n.succs for n in cfg.nodes}
-    )
     while worklist:
         nid = worklist.popleft()
         queued.discard(nid)
         node = cfg.nodes[nid]
-        if nid != start:
-            incoming = init
-            for other in edges_in[nid]:
-                incoming = join(
-                    incoming, transfer(cfg.nodes[other], state[other])
-                )
-            if incoming == state[nid]:
+        if nid != entry:
+            incoming = incoming_state(cfg, state, node, transfer, join)
+            old = state[nid]
+            if node.kind == "loop":
+                visits[nid] = visits.get(nid, 0) + 1
+                if old is not None and incoming is not None:
+                    if widen is None:
+                        incoming = join(old, incoming)
+                    else:
+                        incoming = widen(old, incoming, visits[nid])
+            if incoming == old:
                 continue
             state[nid] = incoming
-        followers = node.succs if forward else node.preds
-        for follower in followers:
-            if follower not in queued:
-                queued.add(follower)
-                worklist.append(follower)
+        for succ in node.succs:
+            if succ not in queued:
+                queued.add(succ)
+                worklist.append(succ)
     return state
 
 
@@ -313,38 +276,43 @@ def reaching_definitions(program: Program, cfg: CFG | None = None) -> ReachingDe
     """Forward may-analysis: which scalar definitions reach each node."""
     if cfg is None:
         cfg = build_cfg(program)
-    defined = {
-        name
-        for node in cfg.nodes
-        if (name := _defined_name(node)) is not None
-    }
 
-    def transfer(node: CFGNode, facts: frozenset) -> frozenset:
+    # Each node's effect, worked out once: the scalar it kills and the facts
+    # it generates.  A callee may assign any scalar passed by name: gen
+    # without kill (may-define) keeps the analysis sound on both outcomes.
+    effects: dict[int, tuple[str | None, frozenset]] = {}
+    for node in cfg.nodes:
         if node.kind == "call":
-            # A callee may assign any scalar passed by name: gen without
-            # kill (may-define) keeps the analysis sound on both outcomes.
             assert isinstance(node.stmt, CallStmt)
-            return facts | frozenset(
+            effects[node.id] = (None, frozenset(
                 (arg.name, node.id)
                 for arg in node.stmt.args
                 if isinstance(arg, Name)
-            )
-        name = _defined_name(node)
-        if name is None:
-            return facts
-        kept = frozenset(f for f in facts if f[0] != name)
-        return kept | {(name, node.id)}
+            ))
+        elif (name := _defined_name(node)) is not None:
+            effects[node.id] = (name, frozenset({(name, node.id)}))
 
     # Every scalar with at least one real definition gets an entry pseudo-def
     # so a read *before* the first definition is "maybe uninitialized", not
     # "definitely".  Scalars never defined at all are symbolic parameters.
+    defined = {name for name, _ in effects.values() if name is not None}
     boundary = frozenset((name, ENTRY_DEF) for name in defined)
+    # Every fact that can arise about each scalar: what an assignment kills.
+    facts_of: dict[str, set] = {}
+    for fact in boundary.union(*(gen for _, gen in effects.values())):
+        facts_of.setdefault(fact[0], set()).add(fact)
+
+    def transfer(node: CFGNode, facts: frozenset, _succ) -> frozenset:
+        effect = effects.get(node.id)
+        if effect is None:
+            return facts
+        killed, gen = effect
+        if killed is not None:
+            facts = facts - facts_of[killed]
+        return facts | gen
+
     reach_in = solve(
-        cfg,
-        direction="forward",
-        init=frozenset(),
-        boundary=boundary,
-        transfer=transfer,
+        cfg, boundary=boundary, transfer=transfer, join=frozenset.union
     )
     result = ReachingDefinitions(cfg, reach_in, defined)
     result._arrays = set(program.decls)
@@ -462,9 +430,8 @@ def check_subscript_invariance(program: Program) -> list[Diagnostic]:
         if not loops:
             continue
         loop_vars = {loop.var for loop in loops}
-        mutated = assigned_scalars(
-            [s for loop in loops for s in loop.body]
-        ) - loop_vars
+        # Every enclosing loop's body lies inside the outermost one's.
+        mutated = assigned_scalars(loops[0].body) - loop_vars
         if not mutated:
             continue
         for ref, _writes in stmt.refs():
@@ -493,8 +460,11 @@ def check_bound_invariance(program: Program) -> list[Diagnostic]:
     """``DF003``: a loop bound reads a scalar that the loop body modifies."""
     diags: list[Diagnostic] = []
 
-    def visit(stmts: list[Stmt], outer_vars: set[str]) -> None:
+    def visit(stmts: list[Stmt]) -> None:
         for stmt in stmts:
+            if isinstance(stmt, If):
+                visit(stmt.then_body)
+                visit(stmt.else_body)
             if not isinstance(stmt, Loop):
                 continue
             mutated = assigned_scalars(stmt.body) - {stmt.var}
@@ -517,9 +487,9 @@ def check_bound_invariance(program: Program) -> list[Diagnostic]:
                             span=stmt.span,
                         )
                     )
-            visit(stmt.body, outer_vars | {stmt.var})
+            visit(stmt.body)
 
-    visit(program.body, set())
+    visit(program.body)
     return diags
 
 
@@ -532,21 +502,15 @@ def check_assumption_invariance(
     parameter of the program; constraining a scalar the program assigns (or a
     loop variable) would let the dependence tests use stale facts.
     """
-    invariant = invariant_symbols(program)
-    mutated = assigned_scalars(program.body)
-    diags: list[Diagnostic] = []
-    for symbol in sorted(assumption_symbols):
-        if symbol in invariant:
-            continue
-        if symbol in mutated:
-            diags.append(
-                Diagnostic.make(
-                    codes.DF004,
-                    f"assumption constrains {symbol}, which the program "
-                    f"modifies (not a loop-invariant parameter)",
-                )
-            )
-    return diags
+    mutated = assumption_symbols & assigned_scalars(program.body)
+    return [
+        Diagnostic.make(
+            codes.DF004,
+            f"assumption constrains {symbol}, which the program "
+            f"modifies (not a loop-invariant parameter)",
+        )
+        for symbol in sorted(mutated)
+    ]
 
 
 def check_control_dependent_mutation(program: Program) -> list[Diagnostic]:
@@ -592,9 +556,12 @@ def check_control_dependent_mutation(program: Program) -> list[Diagnostic]:
 def run_dataflow_checks(
     program: Program,
     assumption_symbols: set[str] | None = None,
+    cfg: CFG | None = None,
 ) -> list[Diagnostic]:
-    """All DF/CD dataflow passes over one program, in code order."""
-    cfg = build_cfg(program)
+    """All DF/CD dataflow passes over one program, in code order.
+
+    ``cfg`` is the program's CFG when the caller already built it.
+    """
     diags = check_uninitialized_reads(program, cfg)
     diags += check_subscript_invariance(program)
     diags += check_bound_invariance(program)

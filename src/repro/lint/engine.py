@@ -7,10 +7,10 @@ normalization, induction-variable substitution), then runs, in order:
 1. the semantic checker (:mod:`repro.analysis.check`, ``DL`` codes);
 2. the dataflow passes (:mod:`repro.lint.dataflow`, ``DF`` codes);
 3. the interval range analysis and its bounds checks
-   (:mod:`repro.lint.ranges`, ``DB`` codes), run under assumptions enriched
-   with declaration-derived and interval-derived facts; the dependence
-   graph below reuses the same analysis and the facts derived from it
-   (stored on the analysis, so they are derived once);
+   (:mod:`repro.lint.ranges`, ``DB`` codes) over the CFG step 2 used, run
+   under assumptions enriched with declaration-derived and interval-derived
+   facts; the dependence graph below reuses the same analysis and the facts
+   derived from it (stored on the analysis, so they are derived once);
 4. optionally the delinearization soundness auditor
    (:mod:`repro.lint.audit`, ``DS`` codes) over every dependence problem the
    program gives rise to;
@@ -41,7 +41,7 @@ from ..frontend.errors import ParseError, ParseErrorGroup
 from ..ir import Program
 from ..symbolic import Assumptions
 from . import codes
-from .dataflow import run_dataflow_checks
+from .dataflow import build_cfg, run_dataflow_checks
 from .diagnostics import Diagnostic, max_severity, sort_diagnostics
 from .ranges import (
     analyze_ranges,
@@ -142,11 +142,12 @@ def lint_source(
     # Only user-supplied symbols are subject to the DF004 invariance check:
     # derived interval facts legitimately describe assigned scalars.
     symbols = assumptions.symbols() if assumptions else set()
-    diags += run_dataflow_checks(program, symbols)
+    cfg = build_cfg(program)
+    diags += run_dataflow_checks(program, symbols, cfg)
     analysis = None
     if ranges:
         decl_assumed = declared_bound_assumptions(program, assumptions)
-        analysis = analyze_ranges(program, decl_assumed)
+        analysis = analyze_ranges(program, decl_assumed, cfg)
         derived = derive_assumptions(program, assumptions, analysis)
         diags += check_bounds(program, derived, analysis)
     # A program with semantic errors (shadowed loop variables, rank

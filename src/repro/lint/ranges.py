@@ -1,6 +1,7 @@
 """Interval abstract interpretation over the loop-nest IR.
 
-A forward dataflow pass on the PR-1 CFG (:mod:`repro.lint.dataflow`) that
+A forward dataflow pass, run by the shared solver of
+:mod:`repro.lint.dataflow` over the same CFG as the ``DF`` passes, that
 computes, for every program point, an integer interval for each scalar and
 induction variable: widening at loop headers guarantees termination, a
 bounded descending (narrowing) phase recovers precision lost to widening,
@@ -26,14 +27,13 @@ The results feed three consumers:
   overflows the dimension the delinearizer would recover.
 
 No pass rescans the program once per scalar or per COMMON member, and
-each runs once per lint.  The worklist queues a node at most once at a
-time.  The first :meth:`RangeAnalysis.read_hull` call builds the read-site
-hulls of all scalars in one pass over the CFG.  Given a program's analysis,
-:func:`derive_assumptions` stores its result on that analysis, keyed by
-the base assumptions, so lint's ``DB`` checks and the dependence graph it
-builds share one derivation; the store dies with the analysis.  A linear
-bound ``a*N + b``, the per-pair case, is inverted in closed form rather
-than by binary search.
+each runs once per lint.  The first :meth:`RangeAnalysis.read_hull` call
+builds the read-site hulls of all scalars in one pass over the CFG.  Given
+a program's analysis, :func:`derive_assumptions` stores its result on that
+analysis, keyed by the base assumptions, so lint's ``DB`` checks and the
+dependence graph it builds share one derivation; the store dies with the
+analysis.  A linear bound ``a*N + b``, the per-pair case, is inverted in
+closed form rather than by binary search.
 
 Everything here is sound with respect to the reference interpreter
 (:mod:`repro.ir.interp`): for any execution that does not abort, every value
@@ -43,8 +43,8 @@ a scalar holds at a program point lies inside the point's inferred interval
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping
 
 from ..ir import (
@@ -65,7 +65,15 @@ from ..ir import (
 from ..ir.fold import fold
 from ..symbolic import Assumptions, Poly
 from . import codes
-from .dataflow import CFG, CFGNode, _scalar_reads, assigned_scalars, build_cfg
+from .dataflow import (
+    CFG,
+    CFGNode,
+    _scalar_reads,
+    assigned_scalars,
+    build_cfg,
+    incoming_state,
+    solve,
+)
 from .diagnostics import Diagnostic
 
 #: Loop-header visits joined plainly before widening kicks in.  A short
@@ -229,10 +237,6 @@ Env = "dict[str, Interval] | None"
 
 
 def _env_join(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     out: dict[str, Interval] = {}
     for name in set(a) | set(b):
         joined = a.get(name, TOP).join(b.get(name, TOP))
@@ -242,8 +246,6 @@ def _env_join(a, b):
 
 
 def _env_widen(old, new):
-    if old is None or new is None:
-        return new
     out: dict[str, Interval] = {}
     for name in set(old) | set(new):
         widened = old.get(name, TOP).widen(new.get(name, TOP))
@@ -354,54 +356,35 @@ class RangeAnalysis:
 
 
 def analyze_ranges(
-    program: Program, assumptions: Assumptions | None = None
+    program: Program,
+    assumptions: Assumptions | None = None,
+    cfg: CFG | None = None,
 ) -> RangeAnalysis:
     """Run the interval abstract interpretation over a program.
 
     ``assumptions`` seed the intervals of symbolic parameters (names the
-    program never defines).
+    program never defines); ``cfg`` is the program's CFG when the caller
+    already built it.
     """
-    cfg = build_cfg(program)
+    if cfg is None:
+        cfg = build_cfg(program)
     params: dict[str, Interval] = {}
     if assumptions is not None:
         for symbol, lower, upper in assumptions.items():
             params[symbol] = Interval(lower, upper)
     analysis = RangeAnalysis(program, cfg, params, {})
 
-    env_in: dict[int, dict[str, Interval] | None] = {
-        node.id: None for node in cfg.nodes
-    }
-    env_in[cfg.entry.id] = {}
-    analysis.env_in = env_in
+    transfer = partial(_edge_env, analysis)
 
-    visits: dict[int, int] = {}
-    worklist = deque(node.id for node in cfg.nodes)
-    queued = set(worklist)
-    while worklist:
-        nid = worklist.popleft()
-        queued.discard(nid)
-        node = cfg.nodes[nid]
-        if nid != cfg.entry.id:
-            incoming = None
-            for pred_id in node.preds:
-                pred = cfg.nodes[pred_id]
-                incoming = _env_join(
-                    incoming,
-                    _edge_env(analysis, pred, env_in[pred_id], node),
-                )
-            if node.kind == "loop":
-                visits[nid] = visits.get(nid, 0) + 1
-                if visits[nid] > WIDEN_DELAY:
-                    incoming = _env_widen(env_in[nid], incoming)
-                else:
-                    incoming = _env_join(env_in[nid], incoming)
-            if incoming == env_in[nid]:
-                continue
-            env_in[nid] = incoming
-        for succ in node.succs:
-            if succ not in queued:
-                queued.add(succ)
-                worklist.append(succ)
+    def widen(old, new, visits: int):
+        if visits > WIDEN_DELAY:
+            return _env_widen(old, new)
+        return _env_join(old, new)
+
+    env_in = solve(
+        cfg, boundary={}, transfer=transfer, join=_env_join, widen=widen
+    )
+    analysis.env_in = env_in
 
     # Descending sweeps: re-apply the transfer functions without widening
     # and meet with the widened solution.  Starting from a post-fixed point
@@ -412,13 +395,7 @@ def analyze_ranges(
         for node in cfg.nodes:
             if node.id == cfg.entry.id:
                 continue
-            incoming = None
-            for pred_id in node.preds:
-                pred = cfg.nodes[pred_id]
-                incoming = _env_join(
-                    incoming,
-                    _edge_env(analysis, pred, env_in[pred_id], node),
-                )
+            incoming = incoming_state(cfg, env_in, node, transfer, _env_join)
             refined = _env_meet(env_in[node.id], incoming)
             if refined != env_in[node.id]:
                 env_in[node.id] = refined

@@ -1,11 +1,9 @@
-"""Postdominators, the control-dependence relation, and the CD checks."""
+"""The CFG shape of IF and CALL statements, and the CD002 check."""
 
 from repro.frontend import parse_fortran
 from repro.lint.dataflow import (
     build_cfg,
     check_control_dependent_mutation,
-    control_dependences,
-    postdominators,
     run_dataflow_checks,
 )
 
@@ -42,85 +40,6 @@ class TestCfgShape:
             "REAL A(0:9)\nDO i = 0, 8\nCALL UPD(A, i)\nENDDO\n"
         ))
         assert any(n.kind == "call" for n in cfg.nodes)
-
-
-class TestPostdominators:
-    def test_every_node_postdominates_itself(self):
-        cfg = build_cfg(parse_fortran(
-            "REAL A(0:9)\nDO i = 0, 8\nIF (i > 2) THEN\nA(i) = 1\nENDIF\n"
-            "ENDDO\n"
-        ))
-        pdom = postdominators(cfg)
-        for node in cfg.nodes:
-            assert node.id in pdom[node.id]
-
-    def test_exit_postdominates_all(self):
-        cfg = build_cfg(parse_fortran(
-            "REAL A(0:9)\nA(1) = 1\nIF (1 > 0) THEN\nA(2) = 2\nENDIF\n"
-        ))
-        pdom = postdominators(cfg)
-        for node in cfg.nodes:
-            assert cfg.exit.id in pdom[node.id]
-
-    def test_join_postdominates_branch_but_arm_does_not(self):
-        cfg = build_cfg(parse_fortran(
-            "REAL A(0:9)\n"
-            "IF (1 > 0) THEN\nA(1) = 1\nELSE\nA(2) = 2\nENDIF\n"
-            "A(3) = 3\n"
-        ))
-        pdom = postdominators(cfg)
-        branch = _node(cfg, "branch")
-        arm = _node(cfg, "assign", 0)
-        join = _node(cfg, "assign", 2)  # A(3) = 3
-        assert join.id in pdom[branch.id]
-        assert arm.id not in pdom[branch.id]
-
-
-class TestControlDependence:
-    SOURCE = (
-        "REAL A(0:9)\n"
-        "IF (1 > 0) THEN\nA(1) = 1\nELSE\nA(2) = 2\nENDIF\n"
-        "A(3) = 3\n"
-    )
-
-    def test_arms_depend_on_branch(self):
-        cfg = build_cfg(parse_fortran(self.SOURCE))
-        deps = control_dependences(cfg)
-        branch = _node(cfg, "branch")
-        then_stmt = _node(cfg, "assign", 0)
-        else_stmt = _node(cfg, "assign", 1)
-        assert branch.id in deps[then_stmt.id]
-        assert branch.id in deps[else_stmt.id]
-
-    def test_join_does_not_depend_on_branch(self):
-        cfg = build_cfg(parse_fortran(self.SOURCE))
-        deps = control_dependences(cfg)
-        branch = _node(cfg, "branch")
-        join = _node(cfg, "assign", 2)
-        assert branch.id not in deps[join.id]
-
-    def test_loop_body_depends_on_header(self):
-        cfg = build_cfg(parse_fortran(
-            "REAL A(0:9)\nDO i = 0, 8\nA(i) = 1\nENDDO\n"
-        ))
-        deps = control_dependences(cfg)
-        header = _node(cfg, "loop")
-        body = _node(cfg, "assign")
-        assert header.id in deps[body.id]
-
-    def test_nested_if_chains(self):
-        cfg = build_cfg(parse_fortran(
-            "REAL A(0:9)\n"
-            "IF (1 > 0) THEN\n"
-            "IF (2 > 1) THEN\nA(1) = 1\nENDIF\n"
-            "ENDIF\n"
-        ))
-        deps = control_dependences(cfg)
-        outer = _node(cfg, "branch", 0)
-        inner = _node(cfg, "branch", 1)
-        stmt = _node(cfg, "assign")
-        assert inner.id in deps[stmt.id]
-        assert outer.id in deps[inner.id]
 
 
 class TestCd002:

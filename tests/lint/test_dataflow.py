@@ -112,6 +112,25 @@ class TestInvariance:
         diags = check_bound_invariance(program_of(source))
         assert any(d.code == "DF003" and "N" in d.message for d in diags)
 
+    def test_bound_modified_inside_loop_under_top_level_if(self):
+        source = (
+            "REAL A(0:99)\nN = 10\nIF (N > 0) THEN\nDO 1 i = 0, N\n"
+            "N = N - 1\n1 A(i) = 1\nENDIF\n"
+        )
+        diags = check_bound_invariance(program_of(source))
+        assert [d.code for d in diags] == ["DF003"]
+        assert "loop i reads N" in diags[0].message
+
+    def test_bound_modified_inside_loop_under_if_in_loop(self):
+        # The loop sits in the ELSE arm of an IF nested in another loop.
+        source = (
+            "REAL A(0:99)\nN = 10\nDO j = 0, 3\nIF (j > 1) THEN\nA(j) = 0\n"
+            "ELSE\nDO i = 0, N\nN = N - 1\nA(i) = 1\nENDDO\nENDIF\nENDDO\n"
+        )
+        diags = check_bound_invariance(program_of(source))
+        assert [d.code for d in diags] == ["DF003"]
+        assert "loop i reads N" in diags[0].message
+
     def test_invariant_symbols_excludes_mutated_and_loop_vars(self):
         program = program_of(
             "REAL A(0:99)\nM = 1\nDO i = 0, N-1\nA(i+M) = Q\nENDDO\n"
