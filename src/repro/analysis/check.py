@@ -21,10 +21,10 @@ in a deterministic order (by span, then code).
 
 from __future__ import annotations
 
-from ..ir import If, Loop, Program, to_linexpr, to_poly
+from ..ir import If, Loop, Program, summarize, to_poly
 from ..lint import codes
 from ..lint.diagnostics import Diagnostic, sort_diagnostics
-from ..symbolic import Assumptions, Poly
+from ..symbolic import Assumptions, LinExpr, Poly
 from .normalize import rectangular_bounds
 
 __all__ = ["Diagnostic", "check_program"]
@@ -38,35 +38,33 @@ def check_program(
     diagnostics: list[Diagnostic] = []
     bounds = rectangular_bounds(program)
     _check_loops(program.body, set(), diagnostics)
-    for stmt, loops in program.walk_statements():
-        loop_vars = {loop.var for loop in loops}
-        for ref, is_write in stmt.refs():
-            decl = program.array(ref.array)
+    dims_of: dict[str, list] = {}  # each dimension with its bounds lowered
+    for summary in summarize(program).statements:
+        stmt = summary.stmt
+        for ref in summary.refs:
+            decl = program.array(ref.ref.array)
             if decl is None or not decl.dims:
                 continue  # implicit array: nothing known to check against
-            if ref.rank != decl.rank:
+            if ref.ref.rank != decl.rank:
                 diagnostics.append(
                     Diagnostic.make(
                         codes.DL002,
-                        f"{ref}: rank {ref.rank} does not match declared "
-                        f"rank {decl.rank} of {decl.name}",
+                        f"{ref.ref}: rank {ref.ref.rank} does not match "
+                        f"declared rank {decl.rank} of {decl.name}",
                         statement=stmt.label,
                         span=stmt.span,
                     )
                 )
                 continue
-            for dim_index, (sub, dim) in enumerate(
-                zip(ref.subscripts, decl.dims), start=1
-            ):
+            if decl.name not in dims_of:
+                dims_of[decl.name] = [
+                    (dim, to_poly(dim.lower), to_poly(dim.upper))
+                    for dim in decl.dims
+                ]
+            dims = zip(ref.forms, dims_of[decl.name])
+            for dim_index, (form, dim) in enumerate(dims, start=1):
                 _check_subscript_range(
-                    stmt,
-                    ref,
-                    dim_index,
-                    sub,
-                    dim,
-                    loop_vars,
-                    bounds,
-                    assumptions,
+                    stmt, ref.ref, dim_index, form, dim, bounds, assumptions,
                     diagnostics,
                 )
     return sort_diagnostics(diagnostics)
@@ -106,18 +104,15 @@ def _check_subscript_range(
     stmt,
     ref,
     dim_index: int,
-    sub,
-    dim,
-    loop_vars: set[str],
+    lowered: LinExpr | None,
+    declared: tuple,
     bounds: dict[str, Poly],
     assumptions: Assumptions,
     diagnostics: list[Diagnostic],
 ) -> None:
-    lowered = to_linexpr(sub, loop_vars)
     if lowered is None:
         return  # opaque subscript: not checkable
-    lower_decl = to_poly(dim.lower)
-    upper_decl = to_poly(dim.upper)
+    dim, lower_decl, upper_decl = declared
     if lower_decl is None or upper_decl is None:
         return
     # Range of the subscript over the rectangular iteration space.

@@ -32,10 +32,12 @@ from ..ir import (
     Loop,
     Program,
     Stmt,
+    summarize,
+    to_linexpr,
     to_poly,
 )
 from ..ir.fold import fold
-from ..symbolic import Poly
+from ..symbolic import LinExpr, Poly
 
 
 class LinearizationError(Exception):
@@ -427,45 +429,21 @@ def is_linearized_subscript(expr: Expr, loop_vars: set[str]) -> bool:
     hand linearization, run-time dimensioning, and induction variables
     controlled by several loops.
     """
-    from ..ir import to_linexpr
+    return is_linearized(to_linexpr(expr, loop_vars))
 
-    lowered = to_linexpr(expr, loop_vars)
-    if lowered is None:
-        return False
-    return len(lowered.variables()) >= 2
+
+def is_linearized(form: LinExpr | None) -> bool:
+    """:func:`is_linearized_subscript` of a subscript already lowered over
+    its loop variables (a :attr:`RefContext.forms` entry)."""
+    return form is not None and len(form.variables()) >= 2
 
 
 def count_linearized_nests(program: Program) -> int:
     """Number of outermost loop nests containing a linearized reference."""
-    count = 0
-    for stmt in program.body:
-        if isinstance(stmt, Loop) and _nest_has_linearized(stmt, set()):
-            count += 1
-    return count
-
-
-def _nest_has_linearized(loop: Loop, outer_vars: set[str]) -> bool:
-    loop_vars = outer_vars | {loop.var}
-    return _stmts_have_linearized(loop.body, loop_vars)
-
-
-def _stmts_have_linearized(stmts: list[Stmt], loop_vars: set[str]) -> bool:
-    from ..ir import If
-
-    for stmt in stmts:
-        if isinstance(stmt, Loop):
-            if _nest_has_linearized(stmt, loop_vars):
-                return True
-        elif isinstance(stmt, If):
-            if _stmts_have_linearized(
-                stmt.then_body, loop_vars
-            ) or _stmts_have_linearized(stmt.else_body, loop_vars):
-                return True
-        elif isinstance(stmt, Assignment):
-            for ref, _ in stmt.refs():
-                if any(
-                    is_linearized_subscript(sub, loop_vars)
-                    for sub in ref.subscripts
-                ):
-                    return True
-    return False
+    nests = {
+        id(s.loops[0])
+        for s in summarize(program).statements
+        if s.loops and isinstance(s.stmt, Assignment)
+        and any(is_linearized(f) for ref in s.refs for f in ref.forms)
+    }
+    return sum(1 for stmt in program.body if id(stmt) in nests)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..deptests.problem import BoundedVar, DependenceProblem
-from ..ir import RefContext, common_loop_count, to_linexpr
+from ..ir import RefContext, common_loop_count
 from ..symbolic import Assumptions, LinExpr, Poly
 
 
@@ -37,24 +37,15 @@ def side_subscripts(ref: RefContext, side: int) -> tuple[LinExpr | None, ...]:
     """``ref``'s subscripts as affine functions, renamed for one side of a pair.
 
     Loop variable ``i`` becomes ``i#1`` on the first side and ``i#2`` on the
-    second; a subscript that is not affine is None.  Each subscript is
-    lowered once and each side renamed once, on :attr:`RefContext.memo`, so
-    every pair the reference is in shares them.
+    second; a subscript that is not affine is None.  The subscripts were
+    lowered once, when the program's statements were summarized
+    (:attr:`RefContext.forms`).
     """
-    memo = ref.memo
-    key = f"subscripts#{side}"
-    if key not in memo:
-        if "subscripts" not in memo:
-            loop_vars = set(ref.loop_vars)
-            memo["subscripts"] = tuple(
-                to_linexpr(sub, loop_vars) for sub in ref.ref.subscripts
-            )
-        rename = {name: f"{name}#{side}" for name in ref.loop_vars}
-        memo[key] = tuple(
-            None if form is None else form.rename_vars(rename)
-            for form in memo["subscripts"]
-        )
-    return memo[key]
+    rename = {name: f"{name}#{side}" for name in ref.loop_vars}
+    return tuple(
+        None if form is None else form.rename_vars(rename)
+        for form in ref.forms
+    )
 
 
 def build_pair_problem(

@@ -1,11 +1,12 @@
 """Loop-nest intermediate representation.
 
 Expressions (:mod:`repro.ir.expr`), statements and programs
-(:mod:`repro.ir.nodes`), affine lowering (:mod:`repro.ir.affine`) and
-source-text rendering (:mod:`repro.ir.pprint`).
+(:mod:`repro.ir.nodes`), affine lowering (:mod:`repro.ir.affine`), the
+per-statement access summaries every pass reads (:mod:`repro.ir.summary`)
+and source-text rendering (:mod:`repro.ir.pprint`).
 """
 
-from .affine import is_loop_invariant, to_linexpr, to_poly
+from .affine import to_linexpr, to_poly
 from .expr import (
     ArrayRef,
     BinOp,
@@ -33,7 +34,6 @@ from .nodes import (
     RefContext,
     Stmt,
     Subroutine,
-    collect_refs,
     common_loop_count,
     has_control_flow,
     mutually_exclusive,
@@ -41,6 +41,7 @@ from .nodes import (
 from .interp import InterpreterError, Store, run_program
 from .pprint import format_program, format_statements
 from .span import Span
+from .summary import collect_refs, scalar_conflicts, summarize
 
 __all__ = [
     "ArrayDecl",
@@ -74,10 +75,11 @@ __all__ = [
     "format_program",
     "format_statements",
     "has_control_flow",
-    "is_loop_invariant",
     "mutually_exclusive",
     "run_program",
+    "scalar_conflicts",
     "substitute_name",
+    "summarize",
     "to_linexpr",
     "to_poly",
 ]

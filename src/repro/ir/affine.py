@@ -75,7 +75,3 @@ def to_poly(expr: Expr) -> Poly | None:
         return None
     return lowered.const
 
-
-def is_loop_invariant(expr: Expr, loop_vars: set[str]) -> bool:
-    """True when the expression mentions no loop variable (syntactically)."""
-    return not (expr.names() & loop_vars)

@@ -27,7 +27,9 @@ class Expr:
 
     def names(self) -> set[str]:
         """All variable names mentioned anywhere in the expression."""
-        return {node.name for node in self.walk() if isinstance(node, Name)}
+        if isinstance(self, Name):
+            return {self.name}
+        return set().union(*(child.names() for child in self.children()))
 
     # Convenience operator builders keep frontend/transform code terse.
     def __add__(self, other: "Expr | int") -> "Expr":

@@ -8,11 +8,14 @@ lowering) linear functions of the loop variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import ArrayRef, Expr, IntLit
 from .span import Span
+
+if TYPE_CHECKING:
+    from ..symbolic import LinExpr
+    from .summary import ProgramSummary, StmtSummary
 
 
 @dataclass(frozen=True)
@@ -88,26 +91,6 @@ class Assignment(Stmt):
     label: str | None = None  # statement id, e.g. "S1"; assigned by Program
     span: Span | None = field(default=None, compare=False, repr=False)
 
-    def refs(self) -> list[tuple[ArrayRef, bool]]:
-        """All array references with a writes? flag (lhs True, rhs False)."""
-        out: list[tuple[ArrayRef, bool]] = []
-        if isinstance(self.lhs, ArrayRef):
-            out.append((self.lhs, True))
-        out.extend(
-            (node, False)
-            for node in self.rhs.walk()
-            if isinstance(node, ArrayRef)
-        )
-        # Subscripts of the written reference are *read*.
-        if isinstance(self.lhs, ArrayRef):
-            for sub in self.lhs.subscripts:
-                out.extend(
-                    (node, False)
-                    for node in sub.walk()
-                    if isinstance(node, ArrayRef)
-                )
-        return out
-
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
 
@@ -155,9 +138,10 @@ class CallStmt(Stmt):
     ``resolved_refs`` is filled by the interprocedural summary analysis
     (:mod:`repro.analysis.interproc`): the call's array effects translated
     into the caller's frame.  Until resolution runs the call contributes no
-    references; :func:`repro.analysis.interproc.ensure_calls_resolved` is
-    invoked by every dependence-graph entry point so an unresolved call can
-    never silently reach pair analysis.
+    references (see :mod:`repro.ir.summary`);
+    :func:`repro.analysis.interproc.ensure_calls_resolved` is invoked by
+    every dependence-graph entry point so an unresolved call can never
+    silently reach pair analysis.
     """
 
     name: str
@@ -169,12 +153,6 @@ class CallStmt(Stmt):
     resolved_refs: list[tuple[ArrayRef, bool]] | None = field(
         default=None, compare=False, repr=False
     )
-
-    def refs(self) -> list[tuple[ArrayRef, bool]]:
-        """Array effects in the caller's frame (empty until resolved)."""
-        if self.resolved_refs is None:
-            return []
-        return list(self.resolved_refs)
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)
@@ -243,6 +221,11 @@ class Program:
     name: str = "MAIN"
     commons: list[CommonBlock] = field(default_factory=list)
     subroutines: dict[str, Subroutine] = field(default_factory=dict)
+    #: The statement summaries (:func:`repro.ir.summary.summarize`), made
+    #: on first use; a pass that rewrites the program builds a new one.
+    _summary: "ProgramSummary | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def array(self, name: str) -> ArrayDecl | None:
         return self.decls.get(name)
@@ -331,13 +314,24 @@ def has_control_flow(stmts: Sequence[Stmt]) -> bool:
 
 @dataclass(frozen=True)
 class RefContext:
-    """An array reference in context: statement, nest, read/write, guards."""
+    """An array reference in context: statement, nest, read/write, guards.
+
+    :mod:`repro.ir.summary` makes a program's references once, with each
+    subscript's affine form over :attr:`loop_vars` (``forms``, ``None``
+    where not affine) and the names each subscript mentions (``names``).
+    """
 
     ref: ArrayRef
     stmt: "Assignment | CallStmt"
     loops: tuple[Loop, ...]
     is_write: bool
     guards: tuple[Guard, ...] = ()
+    forms: "tuple[LinExpr | None, ...]" = field(
+        default=(), compare=False, repr=False
+    )
+    names: tuple[frozenset[str], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def loop_vars(self) -> tuple[str, ...]:
@@ -348,34 +342,16 @@ class RefContext:
         """The reference only executes on specific IF branches."""
         return bool(self.guards)
 
-    @cached_property
-    def memo(self) -> dict:
-        """Values derived from this reference alone, kept by the analyses
-        that derive them (see :func:`repro.analysis.refpairs.side_subscripts`).
-
-        They live exactly as long as the reference, so no longer than the
-        program it was collected from.  The dataclass is frozen, but
-        ``cached_property`` writes the instance ``__dict__`` directly.
-        """
-        return {}
-
     def __str__(self) -> str:
         kind = "write" if self.is_write else "read"
         return f"{self.stmt.label}:{self.ref} ({kind})"
 
 
-def collect_refs(program: Program, array: str | None = None) -> list[RefContext]:
-    """All array references of a program (optionally of one array), in order."""
-    out: list[RefContext] = []
-    for stmt, loops, guards in program.walk_statements_guarded():
-        for ref, is_write in stmt.refs():
-            if array is None or ref.array == array:
-                out.append(RefContext(ref, stmt, loops, is_write, guards))
-    return out
-
-
-def common_loop_count(a: RefContext, b: RefContext) -> int:
-    """Number of shared outermost loops (n0 in the paper)."""
+def common_loop_count(
+    a: "RefContext | StmtSummary", b: "RefContext | StmtSummary"
+) -> int:
+    """Number of shared outermost loops (n0 in the paper) of two references
+    or statements."""
     count = 0
     for loop_a, loop_b in zip(a.loops, b.loops):
         if loop_a is loop_b:

@@ -32,16 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..ir import (
-    ArrayRef,
     Assignment,
     CallStmt,
-    Deref,
-    Expr,
     If,
     Loop,
     Name,
     Program,
     Stmt,
+    summarize,
 )
 from . import codes
 from .diagnostics import Diagnostic
@@ -60,6 +58,9 @@ class CFGNode:
     loops: tuple[Loop, ...] = ()
     succs: list[int] = field(default_factory=list)
     preds: list[int] = field(default_factory=list)
+    #: Every name the node reads: its statement's (from the program's
+    #: statement summary), a loop's bounds or a branch's condition.
+    reads: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -80,62 +81,70 @@ class CFG:
 def build_cfg(program: Program) -> CFG:
     """Build the CFG; statement order is preserved in node ids."""
     nodes = [CFGNode(0, "entry"), CFGNode(1, "exit")]
-
-    def add(kind: str, stmt: Stmt | None, loops: tuple[Loop, ...]) -> CFGNode:
-        node = CFGNode(len(nodes), kind, stmt, loops)
-        nodes.append(node)
-        return node
-
-    def link(src: CFGNode, dst: CFGNode) -> None:
-        src.succs.append(dst.id)
-        dst.preds.append(src.id)
-
-    def dedup(frontier: list[CFGNode]) -> list[CFGNode]:
-        seen: set[int] = set()
-        out: list[CFGNode] = []
-        for node in frontier:
-            if node.id not in seen:
-                seen.add(node.id)
-                out.append(node)
-        return out
-
-    def lower_block(
-        stmts: list[Stmt], preds: list[CFGNode], loops: tuple[Loop, ...]
-    ) -> list[CFGNode]:
-        """Wire a statement list after ``preds``; returns the exit frontier."""
-        for stmt in stmts:
-            if isinstance(stmt, Loop):
-                header = add("loop", stmt, loops)
-                for pred in preds:
-                    link(pred, header)
-                tails = lower_block(stmt.body, [header], loops + (stmt,))
-                for tail in tails:
-                    if tail is not header:
-                        link(tail, header)  # back edge
-                preds = [header]  # bypass edge: the loop may run zero times
-            elif isinstance(stmt, If):
-                branch = add("branch", stmt, loops)
-                for pred in preds:
-                    link(pred, branch)
-                then_tails = lower_block(stmt.then_body, [branch], loops)
-                else_tails = lower_block(stmt.else_body, [branch], loops)
-                # An empty arm leaves the branch itself on the frontier: that
-                # is the fall-through edge to whatever follows the ENDIF.
-                preds = dedup(then_tails + else_tails)
-            elif isinstance(stmt, (Assignment, CallStmt)):
-                kind = "assign" if isinstance(stmt, Assignment) else "call"
-                node = add(kind, stmt, loops)
-                for pred in preds:
-                    link(pred, node)
-                preds = [node]
-            else:
-                raise TypeError(f"unknown statement {type(stmt).__name__}")
-        return preds
-
-    tails = lower_block(program.body, [nodes[0]], ())
-    for tail in tails:
-        link(tail, nodes[1])
+    for tail in _lower_block(nodes, program.body, [nodes[0]], ()):
+        _link(tail, nodes[1])
+    summary = summarize(program)
+    for node in nodes[2:]:
+        stmt = node.stmt
+        if isinstance(stmt, Loop):
+            node.reads = frozenset(_bound_names(stmt))
+        elif isinstance(stmt, If):
+            node.reads = frozenset(stmt.cond.names())
+        else:
+            node.reads = summary.of(stmt).reads
     return CFG(nodes)
+
+
+def _lower_block(
+    nodes: list[CFGNode],
+    stmts: list[Stmt],
+    preds: list[CFGNode],
+    loops: tuple[Loop, ...],
+) -> list[CFGNode]:
+    """Wire a statement list after ``preds``; returns the exit frontier.
+    (Not a closure: a recursive closure is a reference cycle that would
+    keep the nodes and their statements alive until the next collection.)"""
+    for stmt in stmts:
+        if isinstance(stmt, Loop):
+            header = _add(nodes, "loop", stmt, loops)
+            for pred in preds:
+                _link(pred, header)
+            tails = _lower_block(nodes, stmt.body, [header], loops + (stmt,))
+            for tail in tails:
+                if tail is not header:
+                    _link(tail, header)  # back edge
+            preds = [header]  # bypass edge: the loop may run zero times
+        elif isinstance(stmt, If):
+            branch = _add(nodes, "branch", stmt, loops)
+            for pred in preds:
+                _link(pred, branch)
+            then_tails = _lower_block(nodes, stmt.then_body, [branch], loops)
+            else_tails = _lower_block(nodes, stmt.else_body, [branch], loops)
+            # An empty arm leaves the branch itself on the frontier: that
+            # is the fall-through edge to whatever follows the ENDIF.
+            preds = list({n.id: n for n in then_tails + else_tails}.values())
+        elif isinstance(stmt, (Assignment, CallStmt)):
+            kind = "assign" if isinstance(stmt, Assignment) else "call"
+            node = _add(nodes, kind, stmt, loops)
+            for pred in preds:
+                _link(pred, node)
+            preds = [node]
+        else:
+            raise TypeError(f"unknown statement {type(stmt).__name__}")
+    return preds
+
+
+def _add(
+    nodes: list[CFGNode], kind: str, stmt: Stmt, loops: tuple[Loop, ...]
+) -> CFGNode:
+    node = CFGNode(len(nodes), kind, stmt, loops)
+    nodes.append(node)
+    return node
+
+
+def _link(src: CFGNode, dst: CFGNode) -> None:
+    src.succs.append(dst.id)
+    dst.preds.append(src.id)
 
 
 # -- the fixed-point solver ---------------------------------------------------
@@ -218,31 +227,14 @@ def _defined_name(node: CFGNode) -> str | None:
     return None
 
 
+def _bound_names(loop: Loop) -> set[str]:
+    """The names a loop's bounds and step read."""
+    return loop.lower.names() | loop.upper.names() | loop.step.names()
+
+
 def _scalar_reads(node: CFGNode, arrays: set[str]) -> set[str]:
     """Scalar names a node reads (subscripts, rhs, loop bounds, conditions)."""
-    exprs: list[Expr] = []
-    if node.kind == "loop":
-        assert isinstance(node.stmt, Loop)
-        exprs = [node.stmt.lower, node.stmt.upper, node.stmt.step]
-    elif node.kind == "assign":
-        assert isinstance(node.stmt, Assignment)
-        exprs = [node.stmt.rhs]
-        if isinstance(node.stmt.lhs, ArrayRef):
-            exprs.extend(node.stmt.lhs.subscripts)
-        elif isinstance(node.stmt.lhs, Deref):
-            exprs.append(node.stmt.lhs.pointer)
-    elif node.kind == "branch":
-        assert isinstance(node.stmt, If)
-        exprs = [node.stmt.cond]
-    elif node.kind == "call":
-        assert isinstance(node.stmt, CallStmt)
-        exprs = list(node.stmt.args)
-    out: set[str] = set()
-    for expr in exprs:
-        for sub in expr.walk():
-            if isinstance(sub, Name) and sub.name not in arrays:
-                out.add(sub.name)
-    return out
+    return {name for name in node.reads if name not in arrays}
 
 
 @dataclass
@@ -280,15 +272,14 @@ def reaching_definitions(program: Program, cfg: CFG | None = None) -> ReachingDe
     # Each node's effect, worked out once: the scalar it kills and the facts
     # it generates.  A callee may assign any scalar passed by name: gen
     # without kill (may-define) keeps the analysis sound on both outcomes.
+    summary = summarize(program)
     effects: dict[int, tuple[str | None, frozenset]] = {}
     for node in cfg.nodes:
         if node.kind == "call":
-            assert isinstance(node.stmt, CallStmt)
-            effects[node.id] = (None, frozenset(
-                (arg.name, node.id)
-                for arg in node.stmt.args
-                if isinstance(arg, Name)
-            ))
+            writes = summary.of(node.stmt).writes
+            effects[node.id] = (
+                None, frozenset((name, node.id) for name in writes)
+            )
         elif (name := _defined_name(node)) is not None:
             effects[node.id] = (name, frozenset({(name, node.id)}))
 
@@ -355,32 +346,14 @@ def invariant_symbols(program: Program) -> set[str]:
     symbols are safe to constrain in :class:`repro.symbolic.Assumptions` and
     to use as symbolic coefficients.
     """
-    mutated = assigned_scalars(program.body)
     mentioned: set[str] = set()
-    arrays = set(program.decls)
-    for stmt, loops, guards in program.walk_statements_guarded():
-        for loop in loops:
-            for expr in (loop.lower, loop.upper, loop.step):
-                mentioned |= {
-                    n.name for n in expr.walk() if isinstance(n, Name)
-                }
-        for guard in guards:
-            mentioned |= {
-                n.name
-                for n in guard.cond.walk()
-                if isinstance(n, Name) and n.name not in arrays
-            }
-        if isinstance(stmt, CallStmt):
-            exprs: tuple[Expr, ...] = stmt.args
-        else:
-            exprs = (stmt.lhs, stmt.rhs)
-        for expr in exprs:
-            mentioned |= {
-                n.name
-                for n in expr.walk()
-                if isinstance(n, Name) and n.name not in arrays
-            }
-    return mentioned - mutated - arrays
+    for summary in summarize(program).statements:
+        mentioned |= summary.reads
+        for loop in summary.loops:
+            mentioned |= _bound_names(loop)
+        for guard in summary.guards:
+            mentioned |= guard.cond.names()
+    return mentioned - assigned_scalars(program.body) - set(program.decls)
 
 
 # -- diagnostic passes --------------------------------------------------------
@@ -426,29 +399,23 @@ def check_subscript_invariance(program: Program) -> list[Diagnostic]:
     """
     arrays = set(program.decls)
     diags: list[Diagnostic] = []
-    for stmt, loops in program.walk_statements():
+    for summary in summarize(program).statements:
+        loops, stmt = summary.loops, summary.stmt
         if not loops:
             continue
-        loop_vars = {loop.var for loop in loops}
         # Every enclosing loop's body lies inside the outermost one's.
-        mutated = assigned_scalars(loops[0].body) - loop_vars
+        mutated = assigned_scalars(loops[0].body) - arrays
+        mutated -= {loop.var for loop in loops}
         if not mutated:
             continue
-        for ref, _writes in stmt.refs():
-            for sub in ref.subscripts:
-                culprits = {
-                    n.name
-                    for n in sub.walk()
-                    if isinstance(n, Name)
-                    and n.name in mutated
-                    and n.name not in arrays
-                }
-                for name in sorted(culprits):
+        for ref in summary.refs:
+            for names in ref.names:
+                for name in sorted(names & mutated):
                     diags.append(
                         Diagnostic.make(
                             codes.DF002,
-                            f"subscript of {ref.array} uses {name}, which is "
-                            f"modified inside an enclosing loop",
+                            f"subscript of {ref.ref.array} uses {name}, which "
+                            f"is modified inside an enclosing loop",
                             statement=stmt.label,
                             span=stmt.span,
                         )
@@ -521,18 +488,15 @@ def check_control_dependent_mutation(program: Program) -> list[Diagnostic]:
     induction recognizer cannot substitute it and any subscript using it
     stays opaque.  This is the control-flow analogue of ``DF002``.
     """
-    arrays = set(program.decls)
+    summaries = summarize(program).statements
     subscript_users: set[str] = set()
-    for stmt, _loops in program.walk_statements():
-        for ref, _is_write in stmt.refs():
-            for sub in ref.subscripts:
-                subscript_users |= {
-                    n.name
-                    for n in sub.walk()
-                    if isinstance(n, Name) and n.name not in arrays
-                }
+    for summary in summaries:
+        for ref in summary.refs:
+            subscript_users.update(*ref.names)
+    subscript_users -= set(program.decls)
     diags: list[Diagnostic] = []
-    for stmt, loops, guards in program.walk_statements_guarded():
+    for summary in summaries:
+        stmt, loops, guards = summary.stmt, summary.loops, summary.guards
         if not guards or not loops:
             continue
         if (

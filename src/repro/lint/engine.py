@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 from .. import depgraph, vectorizer
 
-# Not called here (lint runs them through ``front_end``); bound because
-# perfbench/suite/trace.py::SITES wraps these module attributes.
+# Not called here (lint runs them through ``front_end`` and
+# ``seeded_ranges``); bound because perfbench/suite/trace.py::SITES wraps
+# these module attributes.
 from ..analysis import normalize_program, substitute_induction_variables  # noqa: F401
 from ..analysis.check import check_program
 from ..analysis.normalize import NormalizationError
@@ -43,12 +44,8 @@ from ..symbolic import Assumptions
 from . import codes
 from .dataflow import build_cfg, run_dataflow_checks
 from .diagnostics import Diagnostic, max_severity, sort_diagnostics
-from .ranges import (
-    analyze_ranges,
-    check_bounds,
-    declared_bound_assumptions,
-    derive_assumptions,
-)
+from .ranges import analyze_ranges, declared_bound_assumptions  # noqa: F401
+from .ranges import check_bounds, derive_assumptions, seeded_ranges
 
 
 @dataclass
@@ -146,8 +143,7 @@ def lint_source(
     diags += run_dataflow_checks(program, symbols, cfg)
     analysis = None
     if ranges:
-        decl_assumed = declared_bound_assumptions(program, assumptions)
-        analysis = analyze_ranges(program, decl_assumed, cfg)
+        analysis = seeded_ranges(program, assumptions, cfg)
         derived = derive_assumptions(program, assumptions, analysis)
         diags += check_bounds(program, derived, analysis)
     # A program with semantic errors (shadowed loop variables, rank

@@ -51,19 +51,17 @@ from ..ir import (
     ArrayRef,
     Assignment,
     BinOp,
-    Call,
-    Deref,
     Expr,
     IntLit,
     Loop,
     Name,
     Program,
     UnaryOp,
-    to_linexpr,
+    summarize,
     to_poly,
 )
 from ..ir.fold import fold
-from ..symbolic import Assumptions, Poly
+from ..symbolic import Assumptions, LinExpr, Poly
 from . import codes
 from .dataflow import (
     CFG,
@@ -292,6 +290,10 @@ class RangeAnalysis:
     _derived: dict[tuple, Assumptions] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: :func:`declared_bound_assumptions` results, keyed the same way.
+    _declared: dict[tuple, Assumptions] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def interval_at(self, node_id: int, name: str) -> Interval:
         """The interval of ``name`` on entry to a CFG node."""
@@ -402,6 +404,21 @@ def analyze_ranges(
                 changed = True
         if not changed:
             break
+    return analysis
+
+
+def seeded_ranges(
+    program: Program,
+    assumptions: Assumptions | None = None,
+    cfg: CFG | None = None,
+) -> RangeAnalysis:
+    """:func:`analyze_ranges` seeded with ``assumptions`` and the symbol
+    bounds the declared extents imply: the analysis that
+    :func:`derive_assumptions` reads.  The seed is kept on the analysis, so
+    deriving from it does not compute those bounds again."""
+    declared = declared_bound_assumptions(program, assumptions)
+    analysis = analyze_ranges(program, declared, cfg)
+    analysis._declared[_base_key(assumptions)] = declared
     return analysis
 
 
@@ -547,7 +564,7 @@ def derive_assumptions(
     """
     if analysis is None or analysis.program is not program:
         return _derive(program, assumptions, analysis)
-    key = tuple(assumptions.items()) if assumptions is not None else ()
+    key = _base_key(assumptions)
     derived = analysis._derived.get(key)
     if derived is None:
         derived = analysis._derived[key] = _derive(
@@ -561,9 +578,13 @@ def _derive(
     assumptions: Assumptions | None,
     analysis: RangeAnalysis | None,
 ) -> Assumptions:
-    result = declared_bound_assumptions(program, assumptions)
     if analysis is None:
-        analysis = analyze_ranges(program, result)
+        analysis = seeded_ranges(program, assumptions)
+    result = None
+    if analysis.program is program:
+        result = analysis._declared.get(_base_key(assumptions))
+    if result is None:
+        result = declared_bound_assumptions(program, assumptions)
     loop_vars = program.loop_variables()
     for name in sorted(assigned_scalars(program.body) - loop_vars):
         hull = analysis.read_hull(name)
@@ -571,6 +592,10 @@ def _derive(
             continue
         result = result.with_interval(name, hull.lo, hull.hi)
     return result
+
+
+def _base_key(assumptions: Assumptions | None) -> tuple:
+    return tuple(assumptions.items()) if assumptions is not None else ()
 
 
 def _invert_monotone(poly: Poly, target: int) -> tuple[str, int] | None:
@@ -653,39 +678,44 @@ def check_bounds(
 
 
 def _assign_nodes(analysis: RangeAnalysis):
+    """Each reachable assignment's summary with its entry environment."""
+    summary = summarize(analysis.program)
     for node in analysis.cfg.nodes:
         if node.kind != "assign":
             continue
         env = analysis.env_in.get(node.id)
         if env is None:
             continue  # unreachable
-        assert isinstance(node.stmt, Assignment)
-        yield node, node.stmt, env
+        yield summary.of(node.stmt), env
 
 
 def _check_linearized_refs(
     program: Program, analysis: RangeAnalysis, emit
 ) -> None:
     """``DB001``/``DB002``/``DB004``: linearized subscripts vs bounds."""
-    from ..analysis.linearize import is_linearized_subscript
+    from ..analysis.linearize import is_linearized
 
-    for node, stmt, env in _assign_nodes(analysis):
-        loop_vars = {loop.var for loop in node.loops}
-        for ref, _is_write in stmt.refs():
-            decl = program.array(ref.array)
-            if decl is None or not decl.dims or ref.rank != decl.rank:
+    for summary, env in _assign_nodes(analysis):
+        for ref in summary.refs:
+            decl = program.array(ref.ref.array)
+            if decl is None or not decl.dims or ref.ref.rank != decl.rank:
                 continue  # implicit shape or a DL002 rank error
-            for sub, dim in zip(ref.subscripts, decl.dims):
-                if not is_linearized_subscript(sub, loop_vars):
+            dims = zip(ref.ref.subscripts, ref.forms, decl.dims)
+            for sub, form, dim in dims:
+                if not is_linearized(form):
                     continue  # single-variable subscripts are DL003-DL005
                 value = analysis.eval(sub, env)
                 declared = Interval(
                     analysis.eval(dim.lower, env).lo,
                     analysis.eval(dim.upper, env).hi,
                 )
-                _report_subscript(ref, sub, dim, value, declared, stmt, emit)
-                _check_dimension_overflow(ref, sub, loop_vars, env, stmt,
-                                          analysis, emit)
+                stmt = summary.stmt
+                _report_subscript(
+                    ref.ref, sub, dim, value, declared, stmt, emit
+                )
+                _check_dimension_overflow(
+                    ref.ref, sub, form, env, stmt, analysis, emit
+                )
 
 
 def _report_subscript(
@@ -732,7 +762,7 @@ def _report_subscript(
 def _check_dimension_overflow(
     ref: ArrayRef,
     sub: Expr,
-    loop_vars: set[str],
+    lowered: LinExpr,
     env,
     stmt: Assignment,
     analysis: RangeAnalysis,
@@ -746,9 +776,6 @@ def _check_dimension_overflow(
     values, distinct ``(i, j)`` pairs collide in storage and the recovered
     dimensions misrepresent the reference.
     """
-    lowered = to_linexpr(sub, loop_vars)
-    if lowered is None:
-        return
     magnitudes: list[tuple[int, str]] = []
     for var in sorted(lowered.variables()):
         coeff = lowered.coeff(var)
@@ -802,8 +829,8 @@ def _check_equivalence_extents(
             if size.is_point():
                 sizes[member] = size.lo
     member_group = {m: g for g in groups for m in g}
-    for node, stmt, env in _assign_nodes(analysis):
-        for ref, _is_write in stmt.refs():
+    for summary, env in _assign_nodes(analysis):
+        for ref in (ref.ref for ref in summary.refs):
             group = member_group.get(ref.array)
             layout = layouts.get(ref.array)
             if group is None or layout is None:
@@ -826,7 +853,7 @@ def _check_equivalence_extents(
                         codes.DB003,
                         f"{ref}: storage offsets {span} cross the extent "
                         f"{boundary} of EQUIVALENCE'd {other}",
-                        stmt,
+                        summary.stmt,
                     )
 
 
@@ -842,10 +869,12 @@ def _check_common_extents(
     # One pass groups the member references.  The checks below visit them
     # block by block and member by member, which fixes the findings' order.
     refs_of: dict[str, list] = {}
-    for node, stmt, env in _assign_nodes(analysis):
-        for ref, _is_write in stmt.refs():
-            if ref.array in members:
-                refs_of.setdefault(ref.array, []).append((stmt, env, ref))
+    for summary, env in _assign_nodes(analysis):
+        for ref in summary.refs:
+            if ref.ref.array in members:
+                refs_of.setdefault(ref.ref.array, []).append(
+                    (summary.stmt, env, ref.ref)
+                )
     for block in program.commons:
         for member in block.members:
             decl = program.array(member)

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..core.chaos import chaos_point
 from ..dirvec.vectors import D_EQ, D_GT, D_LT, DirVec
-from ..ir import ArrayRef, Assignment, CallStmt, Loop, Name, Program
+from ..ir import Program, common_loop_count, scalar_conflicts
 from . import codes
 from .diagnostics import Diagnostic, sort_diagnostics
 
@@ -251,65 +251,12 @@ def _scalar_obligations(program: Program) -> Iterable[_Obligation]:
     alias across any relation of their common loops — a star direction over
     the shared nest, in both orientations.
     """
-    arrays = set(program.decls)
-    loop_vars = program.loop_variables()
-    touched: dict[str, list[tuple[Assignment, tuple[Loop, ...], bool]]] = {}
-    for stmt, loops in program.walk_statements():
-        if isinstance(stmt, CallStmt):
-            # Scalars passed by name may be written by the callee.
-            for arg in stmt.args:
-                if (
-                    isinstance(arg, Name)
-                    and arg.name not in arrays
-                    and arg.name not in loop_vars
-                ):
-                    touched.setdefault(arg.name, []).append(
-                        (stmt, loops, True)
-                    )
-            continue
-        if isinstance(stmt.lhs, Name):
-            touched.setdefault(stmt.lhs.name, []).append((stmt, loops, True))
-        reads = {
-            node.name
-            for node in stmt.rhs.walk()
-            if isinstance(node, Name)
-            and node.name not in arrays
-            and node.name not in loop_vars
-        }
-        if isinstance(stmt.lhs, ArrayRef):
-            for sub in stmt.lhs.subscripts:
-                reads |= {
-                    node.name
-                    for node in sub.walk()
-                    if isinstance(node, Name)
-                    and node.name not in arrays
-                    and node.name not in loop_vars
-                }
-        for name in reads:
-            touched.setdefault(name, []).append((stmt, loops, False))
-
-    for accesses in touched.values():
-        if not any(write for _, _, write in accesses):
-            continue
-        for i, (stmt_a, loops_a, write_a) in enumerate(accesses):
-            for stmt_b, loops_b, write_b in accesses[i:]:
-                if not (write_a or write_b):
-                    continue
-                common = 0
-                for la, lb in zip(loops_a, loops_b):
-                    if la is lb:
-                        common += 1
-                    else:
-                        break
-                star = DirVec.star(common)
-                yield _Obligation(
-                    stmt_a.label, stmt_b.label, star, write_a, write_b, True
-                )
-                if stmt_a is not stmt_b:
-                    yield _Obligation(
-                        stmt_b.label, stmt_a.label, star, write_b, write_a,
-                        True,
-                    )
+    for a, write_a, b, write_b in scalar_conflicts(program):
+        star = DirVec.star(common_loop_count(a, b))
+        source, sink = a.stmt.label, b.stmt.label
+        yield _Obligation(source, sink, star, write_a, write_b, True)
+        if a is not b:
+            yield _Obligation(sink, source, star, write_b, write_a, True)
 
 
 def _normalize(

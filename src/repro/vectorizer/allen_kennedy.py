@@ -33,10 +33,11 @@ from ..ir import (
     CallStmt,
     If,
     Loop,
-    Name,
     Program,
     RefContext,
+    common_loop_count,
     has_control_flow,
+    scalar_conflicts,
 )
 from .scc import strongly_connected_components
 
@@ -93,7 +94,7 @@ def vectorize(graph: DependenceGraph) -> VectorizationResult:
     if has_control_flow(program.body):
         return serial_plan(program)
     statements = list(program.walk_statements())
-    edges = list(graph.edges) + _scalar_edges(program, statements)
+    edges = list(graph.edges) + _scalar_edges(program)
     result = VectorizationResult(program)
 
     # Group statements by their outermost nest; process nests in order.
@@ -123,42 +124,43 @@ def serial_plan(program: Program) -> VectorizationResult:
     computing.
     """
     result = VectorizationResult(program)
-
-    def build(stmt, loops: tuple[Loop, ...]):
-        if isinstance(stmt, Loop):
-            level = len(loops) + 1
-            children = []
-            for child in stmt.body:
-                node = build(child, loops + (stmt,))
-                if node is not None:
-                    children.append(node)
-            return ("loop", stmt, level, children)
-        if isinstance(stmt, If):
-            then_children = [
-                node
-                for child in stmt.then_body
-                if (node := build(child, loops)) is not None
-            ]
-            else_children = [
-                node
-                for child in stmt.else_body
-                if (node := build(child, loops)) is not None
-            ]
-            return ("if", stmt, then_children, else_children)
-        if isinstance(stmt, (Assignment, CallStmt)):
-            entry = VectorLoop(
-                stmt, loops, tuple(range(1, len(loops) + 1)), ()
-            )
-            result.plan.append(entry)
-            return ("stmt", entry)
-        return None
-
     for stmt in program.body:
-        node = build(stmt, ())
+        node = _serial_node(stmt, (), result.plan)
         if node is not None:
             result.schedule.append(node)
     result.plan.sort(key=lambda p: p.stmt.label or "")
     return result
+
+
+def _serial_node(stmt, loops: tuple[Loop, ...], plan: list[VectorLoop]):
+    """The serial schedule node of one statement; its entries join ``plan``.
+    (Not a closure: a recursive closure is a reference cycle that would
+    keep the result and its program alive until the next collection.)"""
+    if isinstance(stmt, Loop):
+        level = len(loops) + 1
+        children = []
+        for child in stmt.body:
+            node = _serial_node(child, loops + (stmt,), plan)
+            if node is not None:
+                children.append(node)
+        return ("loop", stmt, level, children)
+    if isinstance(stmt, If):
+        then_children = [
+            node
+            for child in stmt.then_body
+            if (node := _serial_node(child, loops, plan)) is not None
+        ]
+        else_children = [
+            node
+            for child in stmt.else_body
+            if (node := _serial_node(child, loops, plan)) is not None
+        ]
+        return ("if", stmt, then_children, else_children)
+    if isinstance(stmt, (Assignment, CallStmt)):
+        entry = VectorLoop(stmt, loops, tuple(range(1, len(loops) + 1)), ())
+        plan.append(entry)
+        return ("stmt", entry)
+    return None
 
 
 def _codegen(
@@ -289,79 +291,16 @@ def _edge_carried_exactly_at(edge: Dependence, level: int) -> bool:
     return D_EQ not in direction[level - 1]
 
 
-def _scalar_edges(
-    program: Program,
-    statements: list[tuple[Assignment, tuple[Loop, ...]]],
-) -> list[Dependence]:
+def _scalar_edges(program: Program) -> list[Dependence]:
     """Conservative mutual edges for statements sharing a written scalar."""
-    from ..ir import ArrayRef
-
-    arrays = set(program.decls)
-    loop_vars = program.loop_variables()
-    touched: dict[str, list[tuple[Assignment, tuple[Loop, ...], bool]]] = {}
-    for stmt, loops in statements:
-        if isinstance(stmt, CallStmt):
-            # A callee may assign any scalar passed by name: conservative
-            # write access (forces mutual edges with other touchers).
-            for arg in stmt.args:
-                if (
-                    isinstance(arg, Name)
-                    and arg.name not in arrays
-                    and arg.name not in loop_vars
-                ):
-                    touched.setdefault(arg.name, []).append(
-                        (stmt, loops, True)
-                    )
-            continue
-        if isinstance(stmt.lhs, Name):
-            touched.setdefault(stmt.lhs.name, []).append((stmt, loops, True))
-        reads = {
-            node.name
-            for node in stmt.rhs.walk()
-            if isinstance(node, Name)
-            and node.name not in arrays
-            and node.name not in loop_vars
-        }
-        if isinstance(stmt.lhs, ArrayRef):
-            for sub in stmt.lhs.subscripts:
-                reads |= {
-                    n.name
-                    for n in sub.walk()
-                    if isinstance(n, Name)
-                    and n.name not in arrays
-                    and n.name not in loop_vars
-                }
-        for name in reads:
-            touched.setdefault(name, []).append((stmt, loops, False))
-
     edges: list[Dependence] = []
-    for accesses in touched.values():
-        if not any(write for _, _, write in accesses):
-            continue
-        for i, (stmt_a, loops_a, write_a) in enumerate(accesses):
-            for stmt_b, loops_b, write_b in accesses[i:]:
-                if not (write_a or write_b):
-                    continue
-                common = 0
-                for la, lb in zip(loops_a, loops_b):
-                    if la is lb:
-                        common += 1
-                    else:
-                        break
-                star = DirVec.star(common)
-                ctx_a = RefContext(
-                    _scalar_ref(stmt_a), stmt_a, loops_a, write_a
-                )
-                ctx_b = RefContext(
-                    _scalar_ref(stmt_b), stmt_b, loops_b, write_b
-                )
-                edges.append(
-                    Dependence(ctx_a, ctx_b, "scalar", star, None, True)
-                )
-                if stmt_a is not stmt_b:
-                    edges.append(
-                        Dependence(ctx_b, ctx_a, "scalar", star, None, True)
-                    )
+    for a, write_a, b, write_b in scalar_conflicts(program):
+        star = DirVec.star(common_loop_count(a, b))
+        ctx_a = RefContext(_scalar_ref(a.stmt), a.stmt, a.loops, write_a)
+        ctx_b = RefContext(_scalar_ref(b.stmt), b.stmt, b.loops, write_b)
+        edges.append(Dependence(ctx_a, ctx_b, "scalar", star, None, True))
+        if a is not b:
+            edges.append(Dependence(ctx_b, ctx_a, "scalar", star, None, True))
     return edges
 
 

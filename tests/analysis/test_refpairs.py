@@ -1,6 +1,7 @@
 """Tests for dependence-problem construction from reference pairs."""
 
 import gc
+import sys
 import weakref
 from collections import Counter
 
@@ -13,10 +14,12 @@ from repro.analysis import (
 )
 from repro.analysis import refpairs
 from repro.core import delinearize
+from repro.corpus.generator import generate_program
 from repro.depgraph import analyze_dependences
 from repro.deptests import Verdict, exhaustive_test
 from repro.frontend import parse_fortran
-from repro.ir import collect_refs
+from repro.ir import CallStmt, collect_refs, summary, to_linexpr
+from repro.lint import engine
 from repro.symbolic import LinExpr
 
 
@@ -146,10 +149,10 @@ A(IFUN(i)) = A(i + 1) + C(i, j)
 
 
 def per_pair_subscripts(ref, side):
-    """The lowering without the memo: fresh on every call, as per pair."""
+    """The lowering without the summary: fresh on every call, as per pair."""
     loop_vars = set(ref.loop_vars)
     rename = {name: f"{name}#{side}" for name in loop_vars}
-    forms = (refpairs.to_linexpr(sub, loop_vars) for sub in ref.ref.subscripts)
+    forms = (to_linexpr(sub, loop_vars) for sub in ref.ref.subscripts)
     return tuple(None if f is None else f.rename_vars(rename) for f in forms)
 
 
@@ -157,38 +160,70 @@ def graph_lines(graph):
     return [str(edge) for edge in graph.edges]
 
 
-class TestLowerOnce:
-    def count_lowerings(self, monkeypatch):
-        lowered = Counter()
-        real = refpairs.to_linexpr
+def count_lowerings(monkeypatch, modules):
+    """Count ``to_linexpr`` calls made through ``modules`` by the id of the
+    expression lowered; the expressions are kept alive so no id is reused."""
+    lowered = []
+    for module in modules:
+        real = module.to_linexpr
 
-        def counting(expr, loop_vars):
-            lowered[id(expr)] += 1
+        def counting(expr, loop_vars, real=real):
+            lowered.append(expr)
             return real(expr, loop_vars)
 
-        monkeypatch.setattr(refpairs, "to_linexpr", counting)
-        return lowered
+        monkeypatch.setattr(module, "to_linexpr", counting)
+    return lowered
+
+
+class TestLowerOnce:
+    """Each subscript is lowered once, when its program is summarized."""
 
     def test_each_subscript_lowered_once_per_graph(self, monkeypatch):
         program = parse_fortran(LINEARIZED)
-        lowered = self.count_lowerings(monkeypatch)
+        lowered = count_lowerings(monkeypatch, [summary])
         graph = analyze_dependences(program)
         assert graph.perf.pairs == 26
         # Eight references of one subscript each; lowering per pair made 52.
-        assert sum(lowered.values()) == 8
-        assert set(lowered.values()) == {1}
-        # Each call builds the graph afresh.
+        assert len(lowered) == 8
+        assert set(Counter(map(id, lowered)).values()) == {1}
+        # Each call normalizes, and summarizes, a fresh program.
         lowered.clear()
         analyze_dependences(program)
-        assert sum(lowered.values()) == 8
+        assert len(lowered) == 8
+
+    def test_each_subscript_lowered_once_per_lint(self, monkeypatch):
+        """Over check, ranges, graph and schedule: the passes after the
+        front end lower no subscript twice, CALL references included."""
+        modules = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.") and hasattr(module, "to_linexpr")
+        ]
+        lowered = count_lowerings(monkeypatch, modules)
+        real_front_end = engine.front_end
+
+        def front_end(*args, **kwargs):
+            program = real_front_end(*args, **kwargs)
+            lowered.clear()  # the front end lowers loop bounds to normalize
+            return program
+
+        monkeypatch.setattr(engine, "front_end", front_end)
+        source = generate_program("R1", lines=150, linearized_nests=12, seed=1)
+        report = engine.lint_source(source.source, schedule=True)
+        counts = Counter(map(id, lowered))
+        refs = collect_refs(report.program)
+        assert any(isinstance(ref.stmt, CallStmt) for ref in refs)
+        subscripts = [sub for ref in refs for sub in ref.ref.subscripts]
+        assert len(subscripts) > 100
+        assert max(counts[id(sub)] for sub in subscripts) == 1
 
     @pytest.mark.parametrize(
         "source", [LINEARIZED, MIXED], ids=["linearized", "mixed"]
     )
     def test_graph_equals_per_pair_lowering(self, monkeypatch, source):
-        lowered = self.count_lowerings(monkeypatch)
+        lowered = count_lowerings(monkeypatch, [summary])
         once = analyze_dependences(parse_fortran(source))
-        assert max(lowered.values()) == 1
+        assert max(Counter(map(id, lowered)).values()) == 1
         monkeypatch.setattr(refpairs, "side_subscripts", per_pair_subscripts)
         per_pair = analyze_dependences(parse_fortran(source))
         assert graph_lines(once) == graph_lines(per_pair)
@@ -200,7 +235,7 @@ class TestLowerOnce:
         bounds = rectangular_bounds(program)
         a_write, a_read = collect_refs(program, "A")
         c_read, c_write = collect_refs(program, "C")
-        for _ in range(2):  # the second build reads the memo
+        for _ in range(2):  # pairs share the references' lowered subscripts
             pair = build_pair_problem(a_write, a_read, bounds)
             assert pair.problem is None
             assert pair.notes == ["dimension 1: non-affine subscript"]
@@ -216,11 +251,13 @@ class TestLowerOnce:
         program = parse_fortran(LINEARIZED)
         graph = analyze_dependences(program)
         assert graph.edges
+        summaries = graph.program._summary
+        assert summaries is not None  # the graph build summarized it
         watched = [weakref.ref(program), weakref.ref(graph.program)]
-        statements = graph.program.walk_statements()
-        watched += [weakref.ref(stmt) for stmt, _ in statements]
+        watched.append(weakref.ref(summaries))
+        watched += [weakref.ref(s) for s in summaries.statements]
+        watched += [weakref.ref(s.stmt) for s in summaries.statements]
         watched += [weakref.ref(graph.edges[0].source)]
-        assert graph.edges[0].source.memo  # the memo was filled
-        del program, graph
+        del program, graph, summaries
         gc.collect()
         assert [ref() for ref in watched] == [None] * len(watched)

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.frontend import ParseError, parse_fortran
-from repro.ir import ArrayRef, Assignment, Call, IntLit, Loop, Name
+from repro.ir import (
+    ArrayRef,
+    Assignment,
+    Call,
+    IntLit,
+    Loop,
+    Name,
+    collect_refs,
+)
 
 
 class TestDeclarations:
@@ -173,8 +181,8 @@ class TestReferences:
 
     def test_refs_with_write_flags(self):
         p = parse_fortran("REAL A(10), B(10)\nA(i) = A(i+1) + B(i)\n")
-        refs = p.assignments()[0].refs()
-        flagged = {(str(r), w) for r, w in refs}
+        refs = collect_refs(p)
+        flagged = {(str(r.ref), r.is_write) for r in refs}
         assert flagged == {("A(i)", True), ("A(i+1)", False), ("B(i)", False)}
 
 
