@@ -32,6 +32,7 @@ from typing import Iterable
 from ..ir import (
     ArrayRef,
     Assignment,
+    BinOp,
     Call,
     CallStmt,
     Expr,
@@ -42,6 +43,7 @@ from ..ir import (
     Program,
     Stmt,
     Subroutine,
+    UnaryOp,
     substitute_name,
 )
 from ..ir.fold import fold, simplify_deep
@@ -97,85 +99,16 @@ class SubroutineSummary:
 def summarize_subroutine(sub: Subroutine) -> SubroutineSummary:
     """Compute the mod/ref and access summary of one subroutine body."""
     params = set(sub.params)
-    array_formals = {p for p in params if p in sub.decls}
-    scalar_formals = params - array_formals
-    mod: set[str] = set()
-    ref: set[str] = set()
-    accesses: list[ArrayAccess] = []
-    exact = True
-
-    def note_scalar_reads(expr: Expr) -> None:
-        for node in expr.walk():
-            if isinstance(node, Name) and node.name in scalar_formals:
-                ref.add(node.name)
-
-    def classify_subscripts(
-        subscripts: tuple[Expr, ...]
-    ) -> tuple[Expr, ...] | None:
-        """Exact subscripts, or None when translation must go opaque."""
-        from ..ir import BinOp, UnaryOp
-
-        for sub_expr in subscripts:
-            for node in sub_expr.walk():
-                if isinstance(node, Name):
-                    if node.name not in scalar_formals:
-                        return None  # callee-local / loop variable
-                elif not isinstance(node, (IntLit, BinOp, UnaryOp)):
-                    return None  # nested call, deref, array ref...
-        return subscripts
-
-    def note_array_ref(expr_ref: ArrayRef, is_write: bool) -> None:
-        if expr_ref.array not in array_formals:
-            return  # callee-local storage: invisible to the caller
-        accesses.append(
-            ArrayAccess(
-                expr_ref.array,
-                classify_subscripts(expr_ref.subscripts),
-                is_write,
-            )
-        )
-        (mod if is_write else ref).add(expr_ref.array)
-
-    def note_expr_reads(expr: Expr) -> None:
-        note_scalar_reads(expr)
-        for node in expr.walk():
-            if isinstance(node, ArrayRef):
-                note_array_ref(node, is_write=False)
-
-    def visit(stmts: Iterable[Stmt]) -> None:
-        nonlocal exact
-        for stmt in stmts:
-            if isinstance(stmt, Assignment):
-                if isinstance(stmt.lhs, Name):
-                    if stmt.lhs.name in scalar_formals:
-                        mod.add(stmt.lhs.name)
-                elif isinstance(stmt.lhs, ArrayRef):
-                    note_array_ref(stmt.lhs, is_write=True)
-                    for sub_expr in stmt.lhs.subscripts:
-                        note_expr_reads(sub_expr)
-                note_expr_reads(stmt.rhs)
-            elif isinstance(stmt, Loop):
-                for expr in (stmt.lower, stmt.upper, stmt.step):
-                    note_expr_reads(expr)
-                visit(stmt.body)
-            elif isinstance(stmt, If):
-                note_expr_reads(stmt.cond)
-                visit(stmt.then_body)
-                visit(stmt.else_body)
-            elif isinstance(stmt, CallStmt):
-                # Nested calls defeat one-level summarization.
-                exact = False
-            else:
-                exact = False
-
-    visit(sub.body)
-    if not exact:
+    scan = _BodyScan(params, {p for p in params if p in sub.decls})
+    scan.visit(sub.body)
+    mod, ref, accesses = scan.mod, scan.ref, scan.accesses
+    if not scan.exact:
         mod |= params
         ref |= params
         accesses = [
             ArrayAccess(formal, None, is_write)
             for formal in sub.params
-            if formal in array_formals
+            if formal in scan.array_formals
             for is_write in (False, True)
         ]
     else:
@@ -198,8 +131,78 @@ def summarize_subroutine(sub: Subroutine) -> SubroutineSummary:
         frozenset(mod),
         frozenset(ref),
         tuple(accesses),
-        exact,
+        scan.exact,
     )
+
+
+class _BodyScan:
+    """What a subroutine body reads and writes through its formals.
+    (Methods, not closures: a recursive closure is a reference cycle that
+    would keep the body's accesses alive until the next collection.)"""
+
+    def __init__(self, params: set[str], array_formals: set[str]):
+        self.array_formals = array_formals
+        self.scalar_formals = params - array_formals
+        self.mod: set[str] = set()
+        self.ref: set[str] = set()
+        self.accesses: list[ArrayAccess] = []
+        self.exact = True
+
+    def visit(self, stmts: Iterable[Stmt]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, Assignment):
+                if isinstance(stmt.lhs, Name):
+                    if stmt.lhs.name in self.scalar_formals:
+                        self.mod.add(stmt.lhs.name)
+                elif isinstance(stmt.lhs, ArrayRef):
+                    self.note_array_ref(stmt.lhs, is_write=True)
+                    for sub_expr in stmt.lhs.subscripts:
+                        self.note_expr_reads(sub_expr)
+                self.note_expr_reads(stmt.rhs)
+            elif isinstance(stmt, Loop):
+                for expr in (stmt.lower, stmt.upper, stmt.step):
+                    self.note_expr_reads(expr)
+                self.visit(stmt.body)
+            elif isinstance(stmt, If):
+                self.note_expr_reads(stmt.cond)
+                self.visit(stmt.then_body)
+                self.visit(stmt.else_body)
+            else:
+                # Nested calls defeat one-level summarization.
+                self.exact = False
+
+    def note_expr_reads(self, expr: Expr) -> None:
+        for node in expr.walk():
+            if isinstance(node, Name) and node.name in self.scalar_formals:
+                self.ref.add(node.name)
+        for node in expr.walk():
+            if isinstance(node, ArrayRef):
+                self.note_array_ref(node, is_write=False)
+
+    def note_array_ref(self, expr_ref: ArrayRef, is_write: bool) -> None:
+        if expr_ref.array not in self.array_formals:
+            return  # callee-local storage: invisible to the caller
+        self.accesses.append(
+            ArrayAccess(
+                expr_ref.array,
+                self.classify_subscripts(expr_ref.subscripts),
+                is_write,
+            )
+        )
+        (self.mod if is_write else self.ref).add(expr_ref.array)
+
+    def classify_subscripts(
+        self, subscripts: tuple[Expr, ...]
+    ) -> tuple[Expr, ...] | None:
+        """Exact subscripts, or None when translation must go opaque."""
+        for sub_expr in subscripts:
+            for node in sub_expr.walk():
+                if isinstance(node, Name):
+                    if node.name not in self.scalar_formals:
+                        return None  # callee-local / loop variable
+                elif not isinstance(node, (IntLit, BinOp, UnaryOp)):
+                    return None  # nested call, deref, array ref...
+        return subscripts
 
 
 def resolve_calls(program: Program) -> list[Diagnostic]:

@@ -28,6 +28,7 @@ from ..ir import (
     Program,
     Stmt,
     substitute_name,
+    summarize,
     to_linexpr,
 )
 from ..ir.fold import fold, simplify, simplify_deep
@@ -169,10 +170,15 @@ def rectangular_bounds(program: Program) -> dict[str, Poly]:
     symbols named ``_ub_<var>``.  When the same variable name is used by
     several loops (disjoint nests), the looser bound wins — the iteration
     space extension is still sound.
+
+    The bounds are computed once per program and kept with its statement
+    summary (:func:`repro.ir.summarize`); each call returns a fresh dict.
     """
-    bounds: dict[str, Poly] = {}
-    _collect_bounds(program.body, [], bounds)
-    return bounds
+    summary = summarize(program)
+    if summary.bounds is None:
+        summary.bounds = {}
+        _collect_bounds(program.body, [], summary.bounds)
+    return dict(summary.bounds)
 
 
 def _collect_bounds(

@@ -33,7 +33,7 @@ from .core.chaos import DEFAULT_RATE, ChaosState, maybe_chaos, state_from_env
 from .corpus import RICEPS_PROFILES, census_source, generate_riceps_program
 from .deptests import DependenceProblem, Verdict, run_all
 from .driver import TimedBarrier, compile_c, compile_fortran, front_end
-from .frontend.lexer import TokenStream, tokenize
+from .frontend.fortran import parse_expression
 from .ir import to_linexpr
 from .symbolic import Assumptions
 
@@ -693,7 +693,7 @@ def _parse_bindings(text: str):
 
 
 def _parse_poly(text: str):
-    expr = _parse_scalar_expr(text)
+    expr = parse_expression(text)
     lowered = to_linexpr(expr, set())
     if lowered is None or not lowered.is_constant():
         raise ValueError(f"not a loop-invariant expression: {text!r}")
@@ -701,25 +701,8 @@ def _parse_poly(text: str):
 
 
 def _parse_equation(text: str, variables: set[str]):
-    expr = _parse_scalar_expr(text)
+    expr = parse_expression(text)
     lowered = to_linexpr(expr, variables)
     if lowered is None:
         raise ValueError(f"equation is not affine: {text!r}")
     return lowered
-
-
-def _parse_scalar_expr(text: str):
-    """Parse an arithmetic expression using the FORTRAN expression parser."""
-    from .frontend.fortran import _FortranParser
-
-    tokens = tokenize(text, comment_chars="!")
-    parser = _FortranParser.__new__(_FortranParser)
-    parser.ts = TokenStream(tokens)
-    parser.implicit_arrays = set()
-    from .ir import Program
-
-    parser.program = Program()
-    expr = parser.parse_expr()
-    if not parser.ts.at_eof():
-        parser.ts.expect_end_of_line()
-    return expr

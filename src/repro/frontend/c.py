@@ -152,48 +152,41 @@ class _CParser:
     # -- statements ------------------------------------------------------------
 
     def parse_statement(self) -> list[Stmt]:
-        if self._at_function_def():
-            self.parse_function()
-            return []
-        if self._at_type():
-            self.parse_declaration()
-            return []
-        if self.ts.at_keyword("for"):
-            return [self.parse_for()]
-        if self.ts.at_keyword("if"):
-            return [self.parse_if()]
-        opening = self.ts.peek()
-        if self.ts.accept(OP, "{"):
+        ts = self.ts
+        token = ts.peek()
+        if token.kind == IDENT:
+            word = token.text
+            if word == "void" or word in _C_TYPES:
+                # ``type name (`` is a function definition header.
+                after = ts.peek(1)
+                paren = ts.peek(2)
+                if after.kind == IDENT and paren.kind == OP and paren.text == "(":
+                    self.parse_function()
+                    return []
+                if word in _C_TYPES:
+                    self.parse_declaration()
+                    return []
+            # Keywords compare case-insensitively, like ``at_keyword``.
+            keyword = word.upper()
+            if keyword == "FOR":
+                return [self.parse_for()]
+            if keyword == "IF":
+                return [self.parse_if()]
+        elif token.kind == OP and token.text == "{":
+            ts.next()
             block: list[Stmt] = []
-            while not self.ts.at(OP, "}"):
-                if self.ts.at_eof():
+            while not ts.at(OP, "}"):
+                if ts.at_eof():
                     raise ParseError(
-                        "unterminated block", opening.line, opening.column
+                        "unterminated block", token.line, token.column
                     )
                 block.extend(self.parse_statement())
-            self.ts.expect(OP, "}")
+            ts.expect(OP, "}")
             return block
-        if self.ts.accept(OP, ";"):
+        elif token.kind == OP and token.text == ";":
+            ts.next()
             return []
         return [self.parse_assignment()]
-
-    def _at_type(self) -> bool:
-        return self.ts.at(IDENT) and self.ts.peek().text in _C_TYPES
-
-    def _at_function_def(self) -> bool:
-        """``type name (`` — a function definition header (not a decl)."""
-        if not self.ts.at(IDENT):
-            return False
-        word = self.ts.peek().text
-        if word != "void" and word not in _C_TYPES:
-            return False
-        after = self.ts.peek(1)
-        paren = self.ts.peek(2)
-        return (
-            after.kind == IDENT
-            and paren.kind == OP
-            and paren.text == "("
-        )
 
     def parse_declaration(self) -> None:
         type_token = self.ts.next()
@@ -382,23 +375,31 @@ class _CParser:
     # -- expressions ---------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        ts = self.ts
         expr = self.parse_term()
-        while self.ts.at(OP, "+") or self.ts.at(OP, "-"):
-            op = self.ts.next().text
-            expr = BinOp(op, expr, self.parse_term())
+        token = ts.peek()
+        while token.kind == OP and token.text in ("+", "-"):
+            ts.next()
+            expr = BinOp(token.text, expr, self.parse_term())
+            token = ts.peek()
         return expr
 
     def parse_term(self) -> Expr:
+        ts = self.ts
         expr = self.parse_unary()
-        while self.ts.at(OP, "*") or self.ts.at(OP, "/"):
-            op = self.ts.next().text
-            expr = BinOp(op, expr, self.parse_unary())
+        token = ts.peek()
+        while token.kind == OP and token.text in ("*", "/"):
+            ts.next()
+            expr = BinOp(token.text, expr, self.parse_unary())
+            token = ts.peek()
         return expr
 
     def parse_unary(self) -> Expr:
-        if self.ts.accept(OP, "-"):
-            return UnaryOp("-", self.parse_unary())
-        if self.ts.accept(OP, "*"):
+        token = self.ts.peek()
+        if token.kind == OP and token.text in ("-", "*"):
+            self.ts.next()
+            if token.text == "-":
+                return UnaryOp("-", self.parse_unary())
             return Deref(self.parse_unary())
         return self.parse_postfix()
 

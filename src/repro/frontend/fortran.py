@@ -54,7 +54,7 @@ from ..ir import (
 from .errors import ParseError, ParseErrorGroup
 from .lexer import EOF, IDENT, INT, NEWLINE, OP, Token, TokenStream, tokenize
 
-_TYPE_KEYWORDS = ("REAL", "INTEGER", "DOUBLE", "LOGICAL", "DIMENSION")
+_TYPE_KEYWORDS = frozenset(("REAL", "INTEGER", "DOUBLE", "LOGICAL", "DIMENSION"))
 
 
 def parse_fortran(source: str, name: str = "MAIN", recover: bool = False) -> Program:
@@ -86,6 +86,17 @@ def parse_fortran(source: str, name: str = "MAIN", recover: bool = False) -> Pro
     program = parser.parse_program()
     program.number_statements()
     return program
+
+
+def parse_expression(text: str) -> Expr:
+    """Parse one arithmetic expression, such as a bound given on the command
+    line; anything after it is a :class:`ParseError`.  A subscripted name
+    is a function call (nothing declares an array)."""
+    parser = _FortranParser(tokenize(text, comment_chars="!"), "MAIN")
+    expr = parser.parse_expr()
+    parser.ts.expect_end_of_line()
+    parser.ts.expect(EOF)
+    return expr
 
 
 class _FortranParser:
@@ -171,73 +182,69 @@ class _FortranParser:
         return None
 
     def parse_line(self) -> None:
-        if self.ts.at_keyword("SUBROUTINE"):
+        """Parse one statement, dispatching once on its first word."""
+        ts = self.ts
+        token = ts.peek()
+        word = token.text.upper() if token.kind == IDENT else ""
+        if word == "SUBROUTINE":
             self.parse_subroutine()
             return
-        if self._at_type_keyword():
+        # "REAL = 1" would be an assignment; require a following identifier.
+        if word in _TYPE_KEYWORDS and ts.peek(1).kind == IDENT:
             self.parse_declaration()
             return
-        if self.ts.at_keyword("EQUIVALENCE"):
+        if word == "EQUIVALENCE":
             self.parse_equivalence()
             return
-        if self.ts.at_keyword("COMMON") and not self._is_assignment_to("COMMON"):
+        if word == "COMMON" and not self._at_assignment():
             self.parse_common()
             return
         label = None
         label_token = None
-        if self.ts.at(INT):
-            label_token = self.ts.next()
+        if token.kind == INT:
+            label_token = ts.next()
             label = label_token.text
-        if self.ts.at_keyword("DO") and not self._is_assignment_to("DO"):
+            token = ts.peek()
+            word = token.text.upper() if token.kind == IDENT else ""
+        if word == "DO" and not self._at_assignment():
             self.parse_do()
-            return
-        if self.ts.at_keyword("IF") and not self._is_assignment_to("IF"):
+        elif word == "IF" and not self._at_assignment():
             self.parse_if(label, label_token)
-            return
-        if self.ts.at_keyword("ELSE"):
-            token = self.ts.next()
-            self.ts.expect_end_of_line()
-            self.handle_else(token)
-            return
-        if self.ts.at_keyword("ENDIF"):
-            token = self.ts.next()
-            self.ts.expect_end_of_line()
-            self.close_endif(token)
-            return
-        if self.ts.at_keyword("ENDDO"):
-            token = self.ts.next()
-            self.ts.expect_end_of_line()
-            self.close_enddo(token)
-            return
-        if self.ts.at_keyword("CALL"):
+        elif word in ("ELSE", "ENDIF", "ENDDO"):
+            ts.next()
+            ts.expect_end_of_line()
+            if word == "ELSE":
+                self.handle_else(token)
+            elif word == "ENDIF":
+                self.close_endif(token)
+            else:
+                self.close_enddo(token)
+        elif word == "CALL":
             self.parse_call(label, label_token)
-            return
-        if self.ts.at_keyword("CONTINUE"):
-            token = self.ts.next()
-            self.ts.expect_end_of_line()
+        elif word == "CONTINUE":
+            ts.next()
+            ts.expect_end_of_line()
             if label is None:
                 raise ParseError(
                     "CONTINUE without a label", token.line, token.column
                 )
             self.close_label(label, label_token)
-            return
-        if self.ts.at_keyword("END") and self._at_end_keyword_tail():
-            token = self.ts.next()
+        elif word == "END" and self._at_end_keyword_tail():
+            ts.next()
             # "END IF" is an ENDIF spelling, not a unit terminator.
-            if self.ts.at(IDENT) and self.ts.peek().text.upper() == "IF":
-                self.ts.next()
-                self.ts.expect_end_of_line()
+            tail = ts.peek()
+            tail_word = tail.text.upper() if tail.kind == IDENT else ""
+            if tail_word in ("IF", "DO"):
+                ts.next()
+            ts.expect_end_of_line()
+            if tail_word == "IF":
                 self.close_endif(token)
-                return
-            if self.ts.at(IDENT) and self.ts.peek().text.upper() == "DO":
-                self.ts.next()
-                self.ts.expect_end_of_line()
+            elif tail_word == "DO":
                 self.close_enddo(token)
-                return
-            self.ts.expect_end_of_line()
-            self.close_unit(token)
-            return
-        self.parse_assignment(label)
+            else:
+                self.close_unit(token)
+        else:
+            self.parse_assignment(label)
 
     def _at_end_keyword_tail(self) -> bool:
         """END, END IF or END DO — but not an assignment like ``END = 1``."""
@@ -246,20 +253,10 @@ class _FortranParser:
             return True
         return after.kind == IDENT and after.text.upper() in ("IF", "DO")
 
-    def _at_type_keyword(self) -> bool:
-        if not self.ts.at(IDENT):
-            return False
-        word = self.ts.peek().text.upper()
-        if word not in _TYPE_KEYWORDS:
-            return False
-        # "REAL = 1" would be an assignment; require a following identifier.
-        return self.ts.peek(1).kind == IDENT or (
-            word == "DOUBLE" and self.ts.peek(1).kind == IDENT
-        )
-
-    def _is_assignment_to(self, keyword: str) -> bool:
+    def _at_assignment(self) -> bool:
         """Distinguish ``DO = 5`` (assignment to variable DO) from a DO stmt."""
-        return self.ts.peek(1).kind == OP and self.ts.peek(1).text == "="
+        after = self.ts.peek(1)
+        return after.kind == OP and after.text == "="
 
     # -- declarations ----------------------------------------------------------
 
@@ -549,52 +546,62 @@ class _FortranParser:
     # -- expressions -------------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        ts = self.ts
         expr = self.parse_term()
-        while self.ts.at(OP, "+") or self.ts.at(OP, "-"):
-            op = self.ts.next().text
-            expr = BinOp(op, expr, self.parse_term())
+        token = ts.peek()
+        while token.kind == OP and token.text in ("+", "-"):
+            ts.next()
+            expr = BinOp(token.text, expr, self.parse_term())
+            token = ts.peek()
         return expr
 
     def parse_term(self) -> Expr:
+        ts = self.ts
         expr = self.parse_factor()
-        while self.ts.at(OP, "*") or self.ts.at(OP, "/"):
+        token = ts.peek()
+        while token.kind == OP and token.text in ("*", "/"):
             # "/" immediately followed by "=" is the F90 not-equal operator,
             # not a division: leave it for the relational parser.
-            if self.ts.at(OP, "/") and self.ts.peek(1).kind == OP and (
-                self.ts.peek(1).text == "="
-            ):
-                break
-            op = self.ts.next().text
-            expr = BinOp(op, expr, self.parse_factor())
+            if token.text == "/":
+                after = ts.peek(1)
+                if after.kind == OP and after.text == "=":
+                    break
+            ts.next()
+            expr = BinOp(token.text, expr, self.parse_factor())
+            token = ts.peek()
         return expr
 
     def parse_factor(self) -> Expr:
-        if self.ts.accept(OP, "-"):
-            return UnaryOp("-", self.parse_factor())
-        if self.ts.accept(OP, "+"):
+        token = self.ts.peek()
+        if token.kind == OP and token.text in ("-", "+"):
+            self.ts.next()
+            if token.text == "-":
+                return UnaryOp("-", self.parse_factor())
             return self.parse_factor()
         return self.parse_primary()
 
     def parse_primary(self, lvalue: bool = False) -> Expr:
-        token = self.ts.peek()
-        if token.kind == INT:
-            self.ts.next()
+        ts = self.ts
+        token = ts.peek()
+        kind = token.kind
+        if kind == INT:
+            ts.next()
             return IntLit(int(token.text))
-        if token.kind == IDENT:
-            self.ts.next()
-            if self.ts.accept(OP, "("):
+        if kind == IDENT:
+            ts.next()
+            if ts.accept(OP, "("):
                 args = [self.parse_expr()]
-                while self.ts.accept(OP, ","):
+                while ts.accept(OP, ","):
                     args.append(self.parse_expr())
-                self.ts.expect(OP, ")")
+                ts.expect(OP, ")")
                 if self._is_array(token.text) or lvalue:
                     self._note_implicit(token.text, len(args))
                     return ArrayRef(token.text, tuple(args))
                 return Call(token.text, tuple(args))
             return Name(token.text)
-        if self.ts.accept(OP, "("):
+        if ts.accept(OP, "("):
             expr = self.parse_expr()
-            self.ts.expect(OP, ")")
+            ts.expect(OP, ")")
             return expr
         raise ParseError(
             f"unexpected token {token.text!r}", token.line, token.column
@@ -620,44 +627,30 @@ def _scan_lhs_arrays(tokens: list[Token]) -> set[str]:
     declarations, such as the paper's ``C(J) = C(J) + I``.
     """
     arrays: set[str] = set()
-    at_line_start = True
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        if token.kind == NEWLINE:
-            at_line_start = True
-            index += 1
-            continue
-        if at_line_start:
-            start = index
-            # Optional numeric label.
-            if tokens[start].kind == INT:
-                start += 1
-            if (
-                start < len(tokens)
-                and tokens[start].kind == IDENT
-                and start + 1 < len(tokens)
-                and tokens[start + 1].kind == OP
-                and tokens[start + 1].text == "("
-            ):
-                # Find the matching ')' and check for '=' right after.
-                depth = 0
-                scan = start + 1
-                while scan < len(tokens) and tokens[scan].kind != NEWLINE:
-                    if tokens[scan].kind == OP and tokens[scan].text == "(":
-                        depth += 1
-                    elif tokens[scan].kind == OP and tokens[scan].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    scan += 1
-                if (
-                    depth == 0
-                    and scan + 1 < len(tokens)
-                    and tokens[scan + 1].kind == OP
-                    and tokens[scan + 1].text == "="
-                ):
-                    arrays.add(tokens[start].text)
-            at_line_start = False
-        index += 1
+    # Only a NEWLINE token has the text "\n" and only an OP token the
+    # text "(", ")" or "=", so lines and parentheses are found by text.
+    texts = [token.text for token in tokens]
+    count = len(tokens)
+    start = 0
+    while start < count:
+        try:
+            end = texts.index("\n", start)
+        except ValueError:
+            end = count
+        # Optional numeric label.
+        head = start + 1 if tokens[start].kind == INT else start
+        if head + 1 < end and tokens[head].kind == IDENT and texts[head + 1] == "(":
+            # Find the matching ')' and check for '=' right after.
+            depth = 0
+            for scan in range(head + 1, end):
+                text = texts[scan]
+                if text == "(":
+                    depth += 1
+                elif text == ")":
+                    depth -= 1
+                    if depth == 0:
+                        if scan + 1 < count and texts[scan + 1] == "=":
+                            arrays.add(texts[head])
+                        break
+        start = end + 1
     return arrays

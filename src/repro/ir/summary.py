@@ -52,6 +52,9 @@ class ProgramSummary:
             id(stmt): _summarize(stmt, loops, guards, lowered)
             for stmt, loops, guards in program.walk_statements_guarded()
         }
+        #: The loops' rectangular bounds, made by the first
+        #: :func:`repro.analysis.normalize.rectangular_bounds` call.
+        self.bounds: dict | None = None
 
     @property
     def statements(self) -> list[StmtSummary]:

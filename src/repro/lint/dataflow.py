@@ -426,38 +426,41 @@ def check_subscript_invariance(program: Program) -> list[Diagnostic]:
 def check_bound_invariance(program: Program) -> list[Diagnostic]:
     """``DF003``: a loop bound reads a scalar that the loop body modifies."""
     diags: list[Diagnostic] = []
-
-    def visit(stmts: list[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, If):
-                visit(stmt.then_body)
-                visit(stmt.else_body)
-            if not isinstance(stmt, Loop):
-                continue
-            mutated = assigned_scalars(stmt.body) - {stmt.var}
-            for which, expr in (
-                ("lower", stmt.lower),
-                ("upper", stmt.upper),
-                ("step", stmt.step),
-            ):
-                bad = sorted(
-                    n.name
-                    for n in expr.walk()
-                    if isinstance(n, Name) and n.name in mutated
-                )
-                for name in bad:
-                    diags.append(
-                        Diagnostic.make(
-                            codes.DF003,
-                            f"{which} bound of loop {stmt.var} reads {name}, "
-                            f"which the loop body modifies",
-                            span=stmt.span,
-                        )
-                    )
-            visit(stmt.body)
-
-    visit(program.body)
+    _bound_invariance(program.body, diags)
     return diags
+
+
+def _bound_invariance(stmts: list[Stmt], diags: list[Diagnostic]) -> None:
+    """DF003 for the loops of one statement list, outside-in.  (Not a
+    closure: a recursive closure is a reference cycle that would keep the
+    diagnostics alive until the next collection.)"""
+    for stmt in stmts:
+        if isinstance(stmt, If):
+            _bound_invariance(stmt.then_body, diags)
+            _bound_invariance(stmt.else_body, diags)
+        if not isinstance(stmt, Loop):
+            continue
+        mutated = assigned_scalars(stmt.body) - {stmt.var}
+        for which, expr in (
+            ("lower", stmt.lower),
+            ("upper", stmt.upper),
+            ("step", stmt.step),
+        ):
+            bad = sorted(
+                n.name
+                for n in expr.walk()
+                if isinstance(n, Name) and n.name in mutated
+            )
+            for name in bad:
+                diags.append(
+                    Diagnostic.make(
+                        codes.DF003,
+                        f"{which} bound of loop {stmt.var} reads {name}, "
+                        f"which the loop body modifies",
+                        span=stmt.span,
+                    )
+                )
+        _bound_invariance(stmt.body, diags)
 
 
 def check_assumption_invariance(

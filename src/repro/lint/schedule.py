@@ -148,36 +148,7 @@ def _collect_sites(
     the statement's nest."""
     sites: dict[str, _Site] = {}
     diags: list[Diagnostic] = []
-    counter = 0
-
-    def walk(nodes: list, chain: tuple) -> None:
-        nonlocal counter
-        for node in nodes:
-            counter += 1
-            if node[0] == "loop":
-                _, loop, level, children = node
-                walk(children, chain + ((id(node), level, loop.var),))
-            elif node[0] == "if":
-                # Both arms run under the same serialized-loop chain; the
-                # branch node itself serializes nothing.
-                _, _if_stmt, then_children, else_children = node
-                walk(then_children, chain)
-                walk(else_children, chain)
-            else:
-                entry = node[1]
-                label = entry.stmt.label or f"@{counter}"
-                if label in sites:
-                    diags.append(
-                        _structural(
-                            f"statement {label} appears more than once in "
-                            f"the schedule tree",
-                            entry,
-                        )
-                    )
-                    continue
-                sites[label] = _Site(label, entry, chain, counter)
-
-    walk(result.schedule, ())
+    _walk_sites(result.schedule, (), sites, diags, 0)
 
     for entry in result.plan:
         label = entry.stmt.label
@@ -215,6 +186,45 @@ def _collect_sites(
                 )
             )
     return sites, diags
+
+
+def _walk_sites(
+    nodes: list,
+    chain: tuple,
+    sites: dict[str, _Site],
+    diags: list[Diagnostic],
+    counter: int,
+) -> int:
+    """Add the sites of a schedule subtree; returns the running node count.
+    (Not a closure: a recursive closure is a reference cycle that would
+    keep the sites and their plan entries alive until the next collection.)"""
+    for node in nodes:
+        counter += 1
+        if node[0] == "loop":
+            _, loop, level, children = node
+            counter = _walk_sites(
+                children, chain + ((id(node), level, loop.var),), sites, diags, counter
+            )
+        elif node[0] == "if":
+            # Both arms run under the same serialized-loop chain; the
+            # branch node itself serializes nothing.
+            _, _if_stmt, then_children, else_children = node
+            counter = _walk_sites(then_children, chain, sites, diags, counter)
+            counter = _walk_sites(else_children, chain, sites, diags, counter)
+        else:
+            entry = node[1]
+            label = entry.stmt.label or f"@{counter}"
+            if label in sites:
+                diags.append(
+                    _structural(
+                        f"statement {label} appears more than once in "
+                        f"the schedule tree",
+                        entry,
+                    )
+                )
+                continue
+            sites[label] = _Site(label, entry, chain, counter)
+    return counter
 
 
 def _structural(message: str, entry) -> Diagnostic:

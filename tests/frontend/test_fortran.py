@@ -3,9 +3,11 @@
 import pytest
 
 from repro.frontend import ParseError, parse_fortran
+from repro.frontend.fortran import parse_expression
 from repro.ir import (
     ArrayRef,
     Assignment,
+    BinOp,
     Call,
     IntLit,
     Loop,
@@ -207,3 +209,26 @@ class TestMisc:
         with pytest.raises(ParseError) as err:
             parse_fortran("A(i = 1\n")
         assert "line" in str(err.value)
+
+
+class TestParseExpression:
+    def test_expression(self):
+        assert parse_expression("N*2 - 1  ! a comment") == BinOp(
+            "-", BinOp("*", Name("N"), IntLit(2)), IntLit(1)
+        )
+
+    def test_subscripted_name_is_a_call(self):
+        assert parse_expression("F(3)") == Call("F", (IntLit(3),))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("2*", "unexpected token '\\n' at line 1, column 3"),
+            ("2 3", "expected 'NEWLINE', found '3' at line 1, column 3"),
+            ("1\n2", "expected 'EOF', found '2' at line 2, column 1"),
+        ],
+    )
+    def test_anything_after_the_expression_is_an_error(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert str(err.value) == message

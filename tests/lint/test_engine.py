@@ -1,13 +1,16 @@
 """End-to-end linting through ``lint_source``."""
 
+import gc
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
 
 from repro.corpus.generator import generate_program
 from repro.driver import compile_c, compile_fortran
+from repro.ir import If, Loop
 from repro.lint import lint_source, render_json
 from repro.symbolic import Assumptions
 
@@ -275,3 +278,71 @@ class TestRangeAnalysisRunsOnce:
             recomputed.diagnostics
         )
         assert forwarded.audited_pairs == recomputed.audited_pairs > 0
+
+
+class TestOncePerLint:
+    """What one lint computes once, and what it leaves for the collector."""
+
+    SOURCE = generate_program("corpus1", lines=150, linearized_nests=12, seed=1).source
+
+    @staticmethod
+    def loops(stmts):
+        count = 0
+        for stmt in stmts:
+            if isinstance(stmt, Loop):
+                count += 1 + TestOncePerLint.loops(stmt.body)
+            elif isinstance(stmt, If):
+                count += TestOncePerLint.loops(stmt.then_body)
+                count += TestOncePerLint.loops(stmt.else_body)
+        return count
+
+    def test_rectangular_bounds_once_per_lint(self, monkeypatch):
+        from repro.analysis import normalize
+        from repro.depgraph import builder
+
+        # perfbench traces the graph builder's own binding.
+        assert builder.rectangular_bounds is normalize.rectangular_bounds
+        calls = []
+        original = normalize._maximize
+
+        def counted(upper, outer, var):
+            calls.append(var)
+            return original(upper, outer, var)
+
+        monkeypatch.setattr(normalize, "_maximize", counted)
+        report = lint_source(self.SOURCE, schedule=True)
+        assert report.audited_pairs > 0  # the graph was built
+        # check_program and the graph build share one computation: one
+        # maximized bound per loop of the program.
+        assert len(calls) == self.loops(report.program.body) > 0
+
+    def test_recursive_walks_leave_no_cycles(self):
+        modules = {
+            "repro.lint.schedule",
+            "repro.lint.dataflow",
+            "repro.analysis.interproc",
+        }
+
+        def from_modules(obj):
+            if isinstance(obj, types.CellType):
+                try:
+                    obj = obj.cell_contents
+                except ValueError:  # an empty cell
+                    return False
+            return isinstance(obj, types.FunctionType) and obj.__module__ in modules
+
+        lint_source(self.SOURCE, schedule=True)  # imports and caches
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = lint_source(self.SOURCE, schedule=True)
+            assert report.audited_pairs > 0
+            del report
+            gc.collect()
+            leftovers = [obj for obj in gc.garbage if from_modules(obj)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leftovers == []

@@ -440,6 +440,56 @@ class TestDelinearize:
         )
 
 
+class TestScalarExpressions:
+    """``--assume``, ``--bounds`` and ``--equation`` values go through the
+    FORTRAN expression parser; a subscripted name there is a function
+    call, and every bad value is a one-line ``error:`` with exit 1."""
+
+    def test_assume_with_a_call(self, fortran_file, capsys):
+        assert main(["lint", str(fortran_file), "--assume", "N=F(3)"]) == 1
+        assert capsys.readouterr().err == (
+            "error: not a loop-invariant expression: 'F(3)'\n"
+        )
+
+    def test_assume_with_a_syntax_error(self, fortran_file, capsys):
+        assert main(["lint", str(fortran_file), "--assume", "N=2*"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unexpected token '\\n' at line 1, column 3\n"
+        )
+
+    def test_equation_with_a_call(self, capsys):
+        code = main(
+            [
+                "delinearize",
+                "--equation",
+                "A(1)*i1 - i2",
+                "--bounds",
+                "i1=4,i2=4",
+                "--pairs",
+                "i1:i2",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: equation is not affine: 'A(1)*i1 - i2'\n"
+        )
+
+    def test_equation_with_a_syntax_error(self, capsys):
+        code = main(
+            ["delinearize", "--equation", "i1 - i2 +", "--bounds", "i1=4,i2=4"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unexpected token '\\n' at line 1, column 10\n"
+        )
+
+    def test_trailing_tokens_are_an_error(self, fortran_file, capsys):
+        assert main(["lint", str(fortran_file), "--assume", "N=2 3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected 'NEWLINE', found '3' at line 1, column 3\n"
+        )
+
+
 class TestCompare:
     def test_table(self, capsys):
         code = main(
