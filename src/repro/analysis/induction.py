@@ -50,9 +50,10 @@ from ..ir import (
     Name,
     Program,
     Stmt,
+    rewrite_statements,
     substitute_name,
 )
-from ..ir.fold import fold, simplify, simplify_deep
+from ..ir.fold import simplify, simplify_deep
 
 
 @dataclass
@@ -133,14 +134,7 @@ def substitute_induction_variables(program: Program) -> Program:
     """
     if not find_induction_variables(program):
         return program
-    rewritten = Program(
-        decls=dict(program.decls),
-        equivalences=list(program.equivalences),
-        body=_deep_copy_stmts(program.body),
-        name=program.name,
-        commons=list(program.commons),
-        subroutines=dict(program.subroutines),
-    )
+    rewritten = program.with_body(rewrite_statements(program.body))
     # Re-recognize on the copy so loop references point into it.
     ivs = find_induction_variables(rewritten)
     substituted = False
@@ -150,30 +144,15 @@ def substitute_induction_variables(program: Program) -> Program:
         ):
             continue
         substituted = True
-        closed_after = _closed_form(iv, after_update=True)
-        closed_before = _closed_form(iv, after_update=False)
         innermost = iv.loops[-1]
-        new_body: list[Stmt] = []
-        for index, stmt in enumerate(innermost.body):
-            if index == iv.update_index:
-                continue  # drop the update
-            replacement = closed_after if index > iv.update_index else closed_before
-            if isinstance(stmt, Assignment):
-                new_body.append(
-                    Assignment(
-                        simplify_deep(
-                            substitute_name(stmt.lhs, iv.name, replacement)
-                        ),
-                        simplify_deep(
-                            substitute_name(stmt.rhs, iv.name, replacement)
-                        ),
-                        stmt.label,
-                        span=stmt.span,
-                    )
-                )
-            else:
-                new_body.append(stmt)
-        innermost.body[:] = new_body
+        before = innermost.body[: iv.update_index]
+        after = innermost.body[iv.update_index + 1 :]  # the update is dropped
+        closed_before = _closed_form(iv, after_update=False)
+        closed_after = _closed_form(iv, after_update=True)
+        innermost.body[:] = [
+            *_substitute(before, iv.name, closed_before),
+            *_substitute(after, iv.name, closed_after),
+        ]
         rewritten.body = [
             s
             for s in rewritten.body
@@ -188,6 +167,12 @@ def substitute_induction_variables(program: Program) -> Program:
         return program
     rewritten.number_statements()
     return rewritten
+
+
+def _substitute(stmts: list[Stmt], name: str, value: Expr) -> list[Stmt]:
+    return rewrite_statements(
+        stmts, lambda expr: simplify_deep(substitute_name(expr, name, value))
+    )
 
 
 def _closed_form(iv: InductionVariable, after_update: bool) -> Expr:
@@ -207,23 +192,17 @@ def _closed_form(iv: InductionVariable, after_update: bool) -> Expr:
 def _uses_confined_to_innermost(iv: InductionVariable) -> bool:
     """Check no use of the variable escapes the innermost loop body.
 
-    Uses under control flow (IF branches, CALL arguments) are never
-    substituted, so any such mention anywhere in the nest disqualifies the
-    variable.
+    Any other statement of an enclosing loop, a sibling loop included,
+    would read the variable after its update is dropped.  Uses under
+    control flow (IF branches, CALL arguments) are never substituted, so
+    any such mention anywhere in the nest disqualifies the variable.
     """
+    last = len(iv.loops) - 1
     for level, loop in enumerate(iv.loops):
         for stmt in loop.body:
-            if isinstance(stmt, (If, CallStmt)) and _stmt_mentions(
-                stmt, iv.name
-            ):
-                return False
-            if isinstance(stmt, Loop):
-                continue
-            if level == len(iv.loops) - 1:
-                continue  # innermost body handled by substitution
-            if isinstance(stmt, Assignment) and iv.name in (
-                _expr_names(stmt.lhs) | _expr_names(stmt.rhs)
-            ):
+            substituted = level == last and not isinstance(stmt, (If, CallStmt))
+            on_path = level < last and stmt is iv.loops[level + 1]
+            if not (substituted or on_path) and _stmt_mentions(stmt, iv.name):
                 return False
     return True
 
@@ -252,40 +231,6 @@ def _stmt_mentions(stmt: Stmt, name: str) -> bool:
             return True
         return any(_stmt_mentions(s, name) for s in stmt.body)
     return False
-
-
-def _deep_copy_stmts(stmts: list[Stmt]) -> list[Stmt]:
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Loop):
-            out.append(
-                Loop(
-                    stmt.var,
-                    stmt.lower,
-                    stmt.upper,
-                    _deep_copy_stmts(stmt.body),
-                    stmt.step,
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, Assignment):
-            out.append(Assignment(stmt.lhs, stmt.rhs, stmt.label, span=stmt.span))
-        elif isinstance(stmt, If):
-            out.append(
-                If(
-                    stmt.cond,
-                    _deep_copy_stmts(stmt.then_body),
-                    _deep_copy_stmts(stmt.else_body),
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, CallStmt):
-            out.append(
-                CallStmt(stmt.name, stmt.args, stmt.label, span=stmt.span)
-            )
-        else:
-            raise TypeError(f"unknown statement {type(stmt).__name__}")
-    return out
 
 
 def _scalar_assignment_counts(program: Program) -> dict[str, int]:

@@ -379,9 +379,7 @@ def _translate_access(
         ):
             return None
         lower = decl.dims[0].lower
-        shifted = fold(
-            _add(actual.subscripts[0], _sub(substituted[0], lower))
-        )
+        shifted = fold(actual.subscripts[0] + (substituted[0] - lower))
         return ArrayRef(actual.array, (shifted,))
     return None
 
@@ -426,14 +424,3 @@ def _alias_findings(
                 )
     return diagnostics
 
-
-def _add(left: Expr, right: Expr) -> Expr:
-    from ..ir import BinOp
-
-    return BinOp("+", left, right)
-
-
-def _sub(left: Expr, right: Expr) -> Expr:
-    from ..ir import BinOp
-
-    return BinOp("-", left, right)

@@ -29,9 +29,10 @@ from ..ir import (
     BinOp,
     Expr,
     IntLit,
-    Loop,
+    Name,
     Program,
-    Stmt,
+    map_expr,
+    rewrite_statements,
     summarize,
     to_linexpr,
     to_poly,
@@ -157,24 +158,25 @@ def linearize_program(
     if missing:
         raise LinearizationError(f"cannot linearize undeclared {sorted(missing)}")
 
+    def rewrite(expr: Expr) -> Expr:
+        if isinstance(expr, ArrayRef) and expr.array in mapping:
+            offset = layouts[expr.array].offset(expr.subscripts)
+            return ArrayRef(mapping[expr.array], (offset,))
+        return expr
+
     decls = {
         name: decl for name, decl in program.decls.items() if name not in mapping
     }
     decls.update(storages)
-    rewritten = Program(
+    return program.with_body(
+        rewrite_statements(program.body, lambda expr: map_expr(expr, rewrite)),
         decls=decls,
         equivalences=[
             e
             for e in program.equivalences
             if not set(e.arrays) <= set(mapping)
         ],
-        body=_rewrite_stmts(program.body, mapping, layouts),
-        name=program.name,
-        commons=list(program.commons),
-        subroutines=dict(program.subroutines),
     )
-    rewritten.number_statements()
-    return rewritten
 
 
 def partially_linearize(program: Program, array: str, ndims: int) -> Program:
@@ -202,22 +204,18 @@ def partially_linearize(program: Program, array: str, ndims: int) -> Program:
         ),
     ) + decl.dims[ndims:]
 
-    def rewrite(ref: ArrayRef) -> ArrayRef:
-        offset = prefix_layout.offset(ref.subscripts[:ndims])
-        return ArrayRef(new_name, (offset,) + ref.subscripts[ndims:])
+    def rewrite(expr: Expr) -> Expr:
+        if isinstance(expr, ArrayRef) and expr.array == array:
+            offset = prefix_layout.offset(expr.subscripts[:ndims])
+            return ArrayRef(new_name, (offset,) + expr.subscripts[ndims:])
+        return expr
 
     decls = {n: d for n, d in program.decls.items() if n != array}
     decls[new_name] = ArrayDecl(new_name, new_dims, decl.elem_type)
-    rewritten = Program(
+    return program.with_body(
+        rewrite_statements(program.body, lambda expr: map_expr(expr, rewrite)),
         decls=decls,
-        equivalences=list(program.equivalences),
-        body=_rewrite_custom(program.body, array, rewrite),
-        name=program.name,
-        commons=list(program.commons),
-        subroutines=dict(program.subroutines),
     )
-    rewritten.number_statements()
-    return rewritten
 
 
 def linearize_common(program: Program, block: str | None = None) -> Program:
@@ -261,25 +259,20 @@ def linearize_common(program: Program, block: str | None = None) -> Program:
             storage, (ArrayDim(IntLit(0), fold(BinOp("-", base, IntLit(1)))),)
         )
 
-    from ..ir import Name
-
-    def rewrite_expr(expr: Expr) -> Expr:
+    def rewrite(expr: Expr) -> Expr:
         if isinstance(expr, ArrayRef) and expr.array in mapping:
             storage, base, layout = mapping[expr.array]
             if layout is None:
                 raise LinearizationError(
                     f"{expr.array} subscripted but declared scalar in COMMON"
                 )
-            offset = layout.offset(
-                tuple(rewrite_expr(s) for s in expr.subscripts)
-            )
+            offset = layout.offset(expr.subscripts)
             return ArrayRef(storage, (fold(BinOp("+", base, offset)),))
         if isinstance(expr, Name) and expr.name in mapping:
             storage, base, layout = mapping[expr.name]
             if layout is None:
                 return ArrayRef(storage, (base,))
-            return expr  # whole-array name outside a reference: keep
-        return _map_children(expr, rewrite_expr)
+        return expr  # a whole-array name outside a reference stays
 
     decls = {
         name: decl
@@ -287,16 +280,11 @@ def linearize_common(program: Program, block: str | None = None) -> Program:
         if name not in mapping
     }
     decls.update(storages)
-    rewritten = Program(
+    return program.with_body(
+        rewrite_statements(program.body, lambda expr: map_expr(expr, rewrite)),
         decls=decls,
-        equivalences=list(program.equivalences),
-        body=_rewrite_with(program.body, rewrite_expr),
-        name=program.name,
         commons=[cb for cb in program.commons if cb not in selected],
-        subroutines=dict(program.subroutines),
     )
-    rewritten.number_statements()
-    return rewritten
 
 
 def _group_size(program: Program, group: set[str]) -> Expr:
@@ -321,103 +309,6 @@ def _group_size(program: Program, group: set[str]) -> Expr:
             best, best_poly = size, poly
     assert best is not None
     return best
-
-
-def _rewrite_stmts(
-    stmts: list[Stmt],
-    mapping: dict[str, str],
-    layouts: dict[str, StorageLayout],
-) -> list[Stmt]:
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, ArrayRef) and expr.array in mapping:
-            layout = layouts[expr.array]
-            offset = layout.offset(
-                tuple(rewrite_expr(s) for s in expr.subscripts)
-            )
-            return ArrayRef(mapping[expr.array], (offset,))
-        return _map_children(expr, rewrite_expr)
-
-    return _rewrite_with(stmts, rewrite_expr)
-
-
-def _rewrite_custom(
-    stmts: list[Stmt], array: str, rewrite_ref
-) -> list[Stmt]:
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, ArrayRef) and expr.array == array:
-            mapped = ArrayRef(
-                expr.array, tuple(rewrite_expr(s) for s in expr.subscripts)
-            )
-            return rewrite_ref(mapped)
-        return _map_children(expr, rewrite_expr)
-
-    return _rewrite_with(stmts, rewrite_expr)
-
-
-def _rewrite_with(stmts: list[Stmt], rewrite_expr) -> list[Stmt]:
-    from ..ir import CallStmt, If
-
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Assignment):
-            out.append(
-                Assignment(
-                    rewrite_expr(stmt.lhs),
-                    rewrite_expr(stmt.rhs),
-                    stmt.label,
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, Loop):
-            out.append(
-                Loop(
-                    stmt.var,
-                    rewrite_expr(stmt.lower),
-                    rewrite_expr(stmt.upper),
-                    _rewrite_with(stmt.body, rewrite_expr),
-                    stmt.step,
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, If):
-            out.append(
-                If(
-                    rewrite_expr(stmt.cond),
-                    _rewrite_with(stmt.then_body, rewrite_expr),
-                    _rewrite_with(stmt.else_body, rewrite_expr),
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, CallStmt):
-            out.append(
-                CallStmt(
-                    stmt.name,
-                    tuple(rewrite_expr(a) for a in stmt.args),
-                    stmt.label,
-                    span=stmt.span,
-                )
-            )
-        else:
-            raise TypeError(f"unknown statement {type(stmt).__name__}")
-    return out
-
-
-def _map_children(expr: Expr, rewrite) -> Expr:
-    from ..ir import Call, Compare, Deref, UnaryOp
-
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, rewrite(expr.operand))
-    if isinstance(expr, Compare):
-        return Compare(expr.op, rewrite(expr.left), rewrite(expr.right))
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(rewrite(a) for a in expr.args))
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.array, tuple(rewrite(s) for s in expr.subscripts))
-    if isinstance(expr, Deref):
-        return Deref(rewrite(expr.pointer))
-    return expr
 
 
 def is_linearized_subscript(expr: Expr, loop_vars: set[str]) -> bool:

@@ -18,15 +18,15 @@ parameter (paper Section 4: "we have to perform symbolic calculations").
 from __future__ import annotations
 
 from ..ir import (
-    Assignment,
     BinOp,
-    CallStmt,
     Expr,
     If,
     IntLit,
     Loop,
+    Name,
     Program,
     Stmt,
+    rewrite_statements,
     substitute_name,
     summarize,
     to_linexpr,
@@ -44,45 +44,13 @@ class NormalizationError(ValueError):
 
 def normalize_program(program: Program) -> Program:
     """Return an equivalent program whose loops run ``0..U`` step 1."""
-    normalized = Program(
-        decls=dict(program.decls),
-        equivalences=list(program.equivalences),
-        body=_normalize_stmts(program.body),
-        name=program.name,
-        commons=list(program.commons),
-        subroutines=dict(program.subroutines),
+    return program.with_body(
+        rewrite_statements(program.body, loop=_normalize_loop)
     )
-    normalized.number_statements()
-    return normalized
-
-
-def _normalize_stmts(stmts: list[Stmt]) -> list[Stmt]:
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Loop):
-            out.append(_normalize_loop(stmt))
-        elif isinstance(stmt, Assignment):
-            out.append(Assignment(stmt.lhs, stmt.rhs, stmt.label, span=stmt.span))
-        elif isinstance(stmt, If):
-            out.append(
-                If(
-                    stmt.cond,
-                    _normalize_stmts(stmt.then_body),
-                    _normalize_stmts(stmt.else_body),
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, CallStmt):
-            out.append(
-                CallStmt(stmt.name, stmt.args, stmt.label, span=stmt.span)
-            )
-        else:
-            raise TypeError(f"unknown statement {type(stmt).__name__}")
-    return out
 
 
 def _normalize_loop(loop: Loop) -> Loop:
-    body = _normalize_stmts(loop.body)
+    body = rewrite_statements(loop.body, loop=_normalize_loop)
     step = fold(loop.step)
     if isinstance(step, IntLit) and step.value <= 0:
         raise NormalizationError(
@@ -101,65 +69,25 @@ def _normalize_loop(loop: Loop) -> Loop:
         )
     # v_old = lower + step * v_new;  v_new in [0, (upper - lower) / step].
     replacement = fold(
-        BinOp("+", loop.lower, BinOp("*", step, _var(loop.var)))
+        BinOp("+", loop.lower, BinOp("*", step, Name(loop.var)))
     )
     new_upper = simplify(
         BinOp("/", BinOp("-", loop.upper, loop.lower), step)
     )
-    new_body: list[Stmt] = []
-    for stmt in body:
-        new_body.append(_substitute_stmt(stmt, loop.var, replacement))
+
+    def shadowed(inner: Loop) -> None:
+        # An inner loop reusing the variable would see the outer value in
+        # its bounds but not in its body.  FORTRAN forbids it; refuse it.
+        if inner.var == loop.var:
+            raise NormalizationError(f"loop variable {loop.var} shadowed")
+
+    def substitute(expr: Expr) -> Expr:
+        return simplify_deep(substitute_name(expr, loop.var, replacement))
+
+    new_body = rewrite_statements(body, substitute, shadowed)
     return Loop(
         loop.var, IntLit(0), new_upper, new_body, IntLit(1), span=loop.span
     )
-
-
-def _substitute_stmt(stmt: Stmt, name: str, replacement: Expr) -> Stmt:
-    if isinstance(stmt, Assignment):
-        return Assignment(
-            simplify_deep(substitute_name(stmt.lhs, name, replacement)),
-            simplify_deep(substitute_name(stmt.rhs, name, replacement)),
-            stmt.label,
-            span=stmt.span,
-        )
-    if isinstance(stmt, Loop):
-        if stmt.var == name:
-            # Inner loop shadows the variable: bounds still see the outer
-            # value, body does not.  Shadowing does not occur in practice
-            # (FORTRAN forbids it); treat it as an error to stay safe.
-            raise NormalizationError(f"loop variable {name} shadowed")
-        return Loop(
-            stmt.var,
-            simplify(substitute_name(stmt.lower, name, replacement)),
-            simplify(substitute_name(stmt.upper, name, replacement)),
-            [_substitute_stmt(s, name, replacement) for s in stmt.body],
-            stmt.step,
-            span=stmt.span,
-        )
-    if isinstance(stmt, If):
-        return If(
-            substitute_name(stmt.cond, name, replacement),
-            [_substitute_stmt(s, name, replacement) for s in stmt.then_body],
-            [_substitute_stmt(s, name, replacement) for s in stmt.else_body],
-            span=stmt.span,
-        )
-    if isinstance(stmt, CallStmt):
-        return CallStmt(
-            stmt.name,
-            tuple(
-                simplify_deep(substitute_name(a, name, replacement))
-                for a in stmt.args
-            ),
-            stmt.label,
-            span=stmt.span,
-        )
-    raise TypeError(f"unknown statement {type(stmt).__name__}")
-
-
-def _var(name: str):
-    from ..ir import Name
-
-    return Name(name)
 
 
 def rectangular_bounds(program: Program) -> dict[str, Poly]:

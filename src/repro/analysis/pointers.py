@@ -30,20 +30,19 @@ from __future__ import annotations
 from ..frontend.c import CParseInfo
 from ..ir import (
     ArrayRef,
-    Assignment,
     BinOp,
-    CallStmt,
     Deref,
     Expr,
-    If,
     IntLit,
     Loop,
     Name,
     Program,
     Stmt,
+    map_expr,
+    rewrite_statements,
     substitute_name,
 )
-from ..ir.fold import fold, simplify
+from ..ir.fold import simplify
 
 
 class PointerConversionError(Exception):
@@ -53,16 +52,7 @@ class PointerConversionError(Exception):
 def convert_pointers(program: Program, info: CParseInfo) -> Program:
     """Rewrite pointer-traversal loops and dereferences to array indexing."""
     converter = _Converter(program, info)
-    rewritten = Program(
-        decls=dict(program.decls),
-        equivalences=list(program.equivalences),
-        body=converter.convert_stmts(program.body, {}),
-        name=program.name,
-        commons=list(program.commons),
-        subroutines=dict(program.subroutines),
-    )
-    rewritten.number_statements()
-    return rewritten
+    return program.with_body(converter.convert(program.body, {}))
 
 
 class _Converter:
@@ -70,66 +60,35 @@ class _Converter:
         self.program = program
         self.info = info
 
-    def convert_stmts(
+    def convert(
         self, stmts: list[Stmt], pointer_bases: dict[str, str]
     ) -> list[Stmt]:
-        out: list[Stmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, Loop):
-                out.append(self.convert_loop(stmt, dict(pointer_bases)))
-            elif isinstance(stmt, Assignment):
-                out.append(
-                    Assignment(
-                        self.convert_expr(stmt.lhs, pointer_bases),
-                        self.convert_expr(stmt.rhs, pointer_bases),
-                        stmt.label,
-                        span=stmt.span,
-                    )
-                )
-            elif isinstance(stmt, If):
-                out.append(
-                    If(
-                        self.convert_expr(stmt.cond, pointer_bases),
-                        self.convert_stmts(stmt.then_body, pointer_bases),
-                        self.convert_stmts(stmt.else_body, pointer_bases),
-                        span=stmt.span,
-                    )
-                )
-            elif isinstance(stmt, CallStmt):
-                out.append(
-                    CallStmt(
-                        stmt.name,
-                        tuple(
-                            self.convert_expr(a, pointer_bases)
-                            for a in stmt.args
-                        ),
-                        stmt.label,
-                        span=stmt.span,
-                    )
-                )
-            else:
-                raise TypeError(f"unknown statement {type(stmt).__name__}")
-        return out
+        """``stmts`` with the pointers of ``pointer_bases`` (pointer ->
+        array) and of the pointer loops inside them as indices."""
+        return rewrite_statements(
+            stmts,
+            lambda expr: self.convert_expr(expr, pointer_bases),
+            lambda loop: self.convert_loop(loop, pointer_bases),
+        )
 
     def convert_loop(
         self, loop: Loop, pointer_bases: dict[str, str]
-    ) -> Loop:
-        if loop.var in self.info.pointers:
-            base = self.base_array_of(loop.lower, pointer_bases)
-            if base is None:
-                raise PointerConversionError(
-                    f"pointer loop {loop.var}: base of {loop.lower} unknown"
-                )
-            pointer_bases[loop.var] = base
-            lower = self.strip_base(loop.lower, base, pointer_bases)
-            upper = self.strip_base(loop.upper, base, pointer_bases)
-            body = self.convert_stmts(loop.body, pointer_bases)
-            return Loop(loop.var, lower, upper, body, loop.step, span=loop.span)
+    ) -> Loop | None:
+        """A pointer loop as a loop over its array's indices (``None`` for
+        any other loop)."""
+        if loop.var not in self.info.pointers:
+            return None
+        base = self.base_array_of(loop.lower, pointer_bases)
+        if base is None:
+            raise PointerConversionError(
+                f"pointer loop {loop.var}: base of {loop.lower} unknown"
+            )
+        inner = {**pointer_bases, loop.var: base}
         return Loop(
             loop.var,
-            self.convert_expr(loop.lower, pointer_bases),
-            self.convert_expr(loop.upper, pointer_bases),
-            self.convert_stmts(loop.body, pointer_bases),
+            self.strip_base(loop.lower, base, inner),
+            self.strip_base(loop.upper, base, inner),
+            self.convert(loop.body, inner),
             loop.step,
             span=loop.span,
         )
@@ -169,41 +128,17 @@ class _Converter:
     def convert_expr(
         self, expr: Expr, pointer_bases: dict[str, str]
     ) -> Expr:
-        if isinstance(expr, Deref):
-            base = self.base_array_of(expr.pointer, pointer_bases)
+        """``expr`` with every dereference as an element of its array."""
+
+        def convert(node: Expr) -> Expr:
+            if not isinstance(node, Deref):
+                return node
+            base = self.base_array_of(node.pointer, pointer_bases)
             if base is None:
                 raise PointerConversionError(
-                    f"cannot resolve base array of {expr}"
+                    f"cannot resolve base array of {node}"
                 )
-            index = self.strip_base(expr.pointer, base, pointer_bases)
+            index = self.strip_base(node.pointer, base, pointer_bases)
             return ArrayRef(base, (index,))
-        if isinstance(expr, (Name, IntLit)):
-            return expr
-        from ..ir import Call, Compare, UnaryOp
 
-        if isinstance(expr, Compare):
-            return Compare(
-                expr.op,
-                self.convert_expr(expr.left, pointer_bases),
-                self.convert_expr(expr.right, pointer_bases),
-            )
-
-        if isinstance(expr, BinOp):
-            return BinOp(
-                expr.op,
-                self.convert_expr(expr.left, pointer_bases),
-                self.convert_expr(expr.right, pointer_bases),
-            )
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self.convert_expr(expr.operand, pointer_bases))
-        if isinstance(expr, Call):
-            return Call(
-                expr.func,
-                tuple(self.convert_expr(a, pointer_bases) for a in expr.args),
-            )
-        if isinstance(expr, ArrayRef):
-            return ArrayRef(
-                expr.array,
-                tuple(self.convert_expr(s, pointer_bases) for s in expr.subscripts),
-            )
-        raise TypeError(f"unknown expression {type(expr).__name__}")
+        return map_expr(expr, convert)

@@ -267,7 +267,6 @@ def linearize_storage(program: Program, phases: list[str]) -> Program:
     rewrite that ran.  Raises ``LinearizationError`` on unusable storage."""
     if alias_groups(program):
         program = linearize_program(program)
-        program = normalize_program(program)  # renumber statements
         phases.append("linearize-aliases")
     if program.commons:
         program = linearize_common(program)

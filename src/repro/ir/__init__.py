@@ -1,9 +1,11 @@
 """Loop-nest intermediate representation.
 
 Expressions (:mod:`repro.ir.expr`), statements and programs
-(:mod:`repro.ir.nodes`), affine lowering (:mod:`repro.ir.affine`), the
-per-statement access summaries every pass reads (:mod:`repro.ir.summary`)
-and source-text rendering (:mod:`repro.ir.pprint`).
+(:mod:`repro.ir.nodes`) with the one way every pass rebuilds them
+(:func:`map_expr`, :func:`rewrite_statements`, :meth:`Program.with_body`),
+affine lowering (:mod:`repro.ir.affine`), the per-statement access
+summaries every pass reads (:mod:`repro.ir.summary`) and source-text
+rendering (:mod:`repro.ir.pprint`).
 """
 
 from .affine import to_linexpr, to_poly
@@ -18,6 +20,7 @@ from .expr import (
     Name,
     UnaryOp,
     evaluate_expr,
+    map_expr,
     substitute_name,
 )
 from .nodes import (
@@ -37,6 +40,7 @@ from .nodes import (
     common_loop_count,
     has_control_flow,
     mutually_exclusive,
+    rewrite_statements,
 )
 from .interp import InterpreterError, Store, run_program
 from .pprint import format_program, format_statements
@@ -75,7 +79,9 @@ __all__ = [
     "format_program",
     "format_statements",
     "has_control_flow",
+    "map_expr",
     "mutually_exclusive",
+    "rewrite_statements",
     "run_program",
     "scalar_conflicts",
     "substitute_name",

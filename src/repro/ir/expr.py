@@ -10,7 +10,7 @@ opaque and dependence analysis treats the corresponding subscript as unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class Expr:
@@ -18,6 +18,10 @@ class Expr:
 
     def children(self) -> Sequence["Expr"]:
         return ()
+
+    def with_children(self, children: Sequence["Expr"]) -> "Expr":
+        """This node over ``children`` (one per :meth:`children` entry)."""
+        return self
 
     def walk(self) -> Iterator["Expr"]:
         """Yield this node and all descendants (pre-order)."""
@@ -97,6 +101,9 @@ class BinOp(Expr):
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return BinOp(self.op, *children)
+
     def __str__(self) -> str:
         return f"{_paren(self.left, self.op, True)}{self.op}{_paren(self.right, self.op, False)}"
 
@@ -114,6 +121,9 @@ class UnaryOp(Expr):
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return UnaryOp(self.op, *children)
 
     def __str__(self) -> str:
         return f"-{_paren(self.operand, '*', False)}"
@@ -140,6 +150,9 @@ class Compare(Expr):
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return Compare(self.op, *children)
+
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
@@ -153,6 +166,9 @@ class Call(Expr):
 
     def children(self) -> Sequence[Expr]:
         return self.args
+
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return Call(self.func, tuple(children))
 
     def __str__(self) -> str:
         return f"{self.func}({', '.join(str(a) for a in self.args)})"
@@ -170,6 +186,9 @@ class ArrayRef(Expr):
 
     def children(self) -> Sequence[Expr]:
         return self.subscripts
+
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return ArrayRef(self.array, tuple(children))
 
     @property
     def rank(self) -> int:
@@ -193,6 +212,9 @@ class Deref(Expr):
 
     def children(self) -> Sequence[Expr]:
         return (self.pointer,)
+
+    def with_children(self, children: Sequence[Expr]) -> Expr:
+        return Deref(*children)
 
     def __str__(self) -> str:
         if isinstance(self.pointer, Name):
@@ -218,37 +240,34 @@ def _paren(expr: Expr, parent_op: str, is_left: bool) -> str:
     return text
 
 
+def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``expr`` bottom-up: each node over its mapped children, then
+    passed through ``fn``.  A node whose children all map to themselves is
+    kept, so the identity mapping returns ``expr`` itself."""
+    children = expr.children()
+    if children:
+        # A plain loop: this runs for every node of every rewrite.
+        mapped = []
+        changed = False
+        for child in children:
+            new = map_expr(child, fn)
+            mapped.append(new)
+            if new is not child:
+                changed = True
+        if changed:
+            expr = expr.with_children(mapped)
+    return fn(expr)
+
+
 def substitute_name(expr: Expr, name: str, replacement: Expr) -> Expr:
     """Return ``expr`` with every occurrence of ``Name(name)`` replaced."""
-    if isinstance(expr, Name):
-        return replacement if expr.name == name else expr
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            substitute_name(expr.left, name, replacement),
-            substitute_name(expr.right, name, replacement),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, substitute_name(expr.operand, name, replacement))
-    if isinstance(expr, Call):
-        return Call(
-            expr.func,
-            tuple(substitute_name(a, name, replacement) for a in expr.args),
-        )
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            substitute_name(expr.left, name, replacement),
-            substitute_name(expr.right, name, replacement),
-        )
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(
-            expr.array,
-            tuple(substitute_name(s, name, replacement) for s in expr.subscripts),
-        )
-    if isinstance(expr, Deref):
-        return Deref(substitute_name(expr.pointer, name, replacement))
-    return expr
+
+    def replace(node: Expr) -> Expr:
+        if isinstance(node, Name) and node.name == name:
+            return replacement
+        return node
+
+    return map_expr(expr, replace)
 
 
 def evaluate_expr(expr: Expr, env: dict[str, int]) -> int:

@@ -9,46 +9,42 @@ from __future__ import annotations
 
 from .expr import (
     _COMPARISONS,
-    ArrayRef,
     BinOp,
-    Call,
     Compare,
-    Deref,
     Expr,
     IntLit,
     Name,
     UnaryOp,
+    map_expr,
 )
 
 
 def fold(expr: Expr) -> Expr:
     """Recursively fold constants and algebraic identities."""
     if isinstance(expr, (IntLit, Name)):
-        return expr
+        return expr  # most calls fold a bare bound or step
+    return map_expr(expr, _fold_node)
+
+
+def _fold_node(expr: Expr) -> Expr:
+    """Fold one node whose children are already folded."""
+    if isinstance(expr, BinOp):
+        return _fold_binop(expr)
     if isinstance(expr, Compare):
-        left, right = fold(expr.left), fold(expr.right)
+        left, right = expr.left, expr.right
         if isinstance(left, IntLit) and isinstance(right, IntLit):
             return IntLit(int(_COMPARISONS[expr.op](left.value, right.value)))
-        return Compare(expr.op, left, right)
-    if isinstance(expr, UnaryOp):
-        inner = fold(expr.operand)
+    elif isinstance(expr, UnaryOp):
+        inner = expr.operand
         if isinstance(inner, IntLit):
             return IntLit(-inner.value)
         if isinstance(inner, UnaryOp):
             return inner.operand
-        return UnaryOp(expr.op, inner)
-    if isinstance(expr, BinOp):
-        return _fold_binop(expr.op, fold(expr.left), fold(expr.right))
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(fold(a) for a in expr.args))
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.array, tuple(fold(s) for s in expr.subscripts))
-    if isinstance(expr, Deref):
-        return Deref(fold(expr.pointer))
     return expr
 
 
-def _fold_binop(op: str, left: Expr, right: Expr) -> Expr:
+def _fold_binop(expr: BinOp) -> Expr:
+    op, left, right = expr.op, expr.left, expr.right
     if isinstance(left, IntLit) and isinstance(right, IntLit):
         if op == "+":
             return IntLit(left.value + right.value)
@@ -84,7 +80,7 @@ def _fold_binop(op: str, left: Expr, right: Expr) -> Expr:
             return left
     if op == "/" and _is_one(right):
         return left
-    return BinOp(op, left, right)
+    return expr
 
 
 def simplify(expr: Expr) -> Expr:
@@ -107,21 +103,13 @@ def simplify(expr: Expr) -> Expr:
 
 
 def simplify_deep(expr: Expr) -> Expr:
-    """Apply affine simplification inside subscripts and call arguments."""
-    if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.array, tuple(simplify(s) for s in expr.subscripts))
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(simplify(a) for a in expr.args))
-    if isinstance(expr, Deref):
-        return Deref(simplify(expr.pointer))
-    if isinstance(expr, Compare):
-        return Compare(expr.op, simplify(expr.left), simplify(expr.right))
-    if isinstance(expr, BinOp):
-        rebuilt = BinOp(expr.op, simplify_deep(expr.left), simplify_deep(expr.right))
-        return simplify(rebuilt)
-    if isinstance(expr, UnaryOp):
-        return simplify(UnaryOp(expr.op, simplify_deep(expr.operand)))
-    return expr
+    """Apply affine simplification to every arithmetic subexpression,
+    including those inside subscripts and call arguments."""
+    return map_expr(expr, _simplify_arithmetic)
+
+
+def _simplify_arithmetic(expr: Expr) -> Expr:
+    return simplify(expr) if isinstance(expr, (BinOp, UnaryOp)) else expr
 
 
 def poly_to_expr(poly) -> Expr:

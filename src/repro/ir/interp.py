@@ -25,8 +25,18 @@ from .expr import (
     Name,
     UnaryOp,
     _COMPARISONS,
+    map_expr,
 )
-from .nodes import Assignment, CallStmt, If, Loop, Program, Stmt, Subroutine
+from .nodes import (
+    Assignment,
+    CallStmt,
+    If,
+    Loop,
+    Program,
+    Stmt,
+    Subroutine,
+    rewrite_statements,
+)
 
 
 class InterpreterError(Exception):
@@ -205,7 +215,7 @@ def _bind_call(
     for name in sub.decls:
         if name not in sub.params and name not in array_map:
             array_map[name] = (f"{sub.name}${name}", 0)
-    return _rewrite_call_stmts(sub, sub.body, array_map, scalar_map)
+    return _rewrite_call_stmts(sub.body, array_map, scalar_map)
 
 
 def _assigned_scalar_names(stmts: list[Stmt]) -> set[str]:
@@ -224,75 +234,36 @@ def _assigned_scalar_names(stmts: list[Stmt]) -> set[str]:
 
 
 def _rewrite_call_stmts(
-    sub: Subroutine,
     stmts: list[Stmt],
     array_map: dict[str, tuple[str, int]],
     scalar_map: dict[str, Expr],
 ) -> list[Stmt]:
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Name):
-            return scalar_map.get(expr.name, expr)
-        if isinstance(expr, ArrayRef):
-            subs = tuple(rewrite_expr(s) for s in expr.subscripts)
-            if expr.array in array_map:
-                actual, shift = array_map[expr.array]
-                if shift:
-                    subs = (BinOp("+", subs[0], IntLit(shift)),) + subs[1:]
-                return ArrayRef(actual, subs)
-            return ArrayRef(expr.array, subs)
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, rewrite_expr(expr.operand))
-        if isinstance(expr, Compare):
-            return Compare(expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right))
-        if isinstance(expr, Call):
-            return Call(expr.func, tuple(rewrite_expr(a) for a in expr.args))
-        return expr
+    def rename(node: Expr) -> Expr:
+        if isinstance(node, Name):
+            return scalar_map.get(node.name, node)
+        if isinstance(node, ArrayRef) and node.array in array_map:
+            actual, shift = array_map[node.array]
+            subs = node.subscripts
+            if shift:
+                subs = (BinOp("+", subs[0], IntLit(shift)),) + subs[1:]
+            return ArrayRef(actual, subs)
+        return node
 
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Assignment):
-            out.append(
-                Assignment(
-                    rewrite_expr(stmt.lhs), rewrite_expr(stmt.rhs),
-                    stmt.label, span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, Loop):
-            out.append(
-                Loop(
-                    stmt.var,
-                    rewrite_expr(stmt.lower),
-                    rewrite_expr(stmt.upper),
-                    _rewrite_call_stmts(sub, stmt.body, array_map, scalar_map),
-                    rewrite_expr(stmt.step),
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, If):
-            out.append(
-                If(
-                    rewrite_expr(stmt.cond),
-                    _rewrite_call_stmts(sub, stmt.then_body, array_map, scalar_map),
-                    _rewrite_call_stmts(sub, stmt.else_body, array_map, scalar_map),
-                    span=stmt.span,
-                )
-            )
-        elif isinstance(stmt, CallStmt):
-            out.append(
-                CallStmt(
-                    stmt.name,
-                    tuple(rewrite_expr(a) for a in stmt.args),
-                    stmt.label,
-                    span=stmt.span,
-                )
-            )
-        else:
-            raise InterpreterError(
-                f"unknown statement {type(stmt).__name__}"
-            )
-    return out
+    def rewrite(expr: Expr) -> Expr:
+        return map_expr(expr, rename)
+
+    def loop(stmt: Loop) -> Loop:
+        # A callee's loop may step by a formal, so its step is mapped too.
+        return Loop(
+            stmt.var,
+            rewrite(stmt.lower),
+            rewrite(stmt.upper),
+            rewrite_statements(stmt.body, rewrite, loop),
+            rewrite(stmt.step),
+            span=stmt.span,
+        )
+
+    return rewrite_statements(stmts, rewrite, loop)
 
 
 def execute_assignment(

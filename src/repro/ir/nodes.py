@@ -8,7 +8,7 @@ lowering) linear functions of the loop variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .expr import ArrayRef, Expr, IntLit
 from .span import Span
@@ -230,6 +230,30 @@ class Program:
     def array(self, name: str) -> ArrayDecl | None:
         return self.decls.get(name)
 
+    def with_body(
+        self,
+        body: list[Stmt],
+        *,
+        decls: dict[str, ArrayDecl] | None = None,
+        equivalences: list[Equivalence] | None = None,
+        commons: list[CommonBlock] | None = None,
+    ) -> "Program":
+        """A rewritten copy of this program around ``body``, its statements
+        numbered.  Name, subroutines and (unless given) declarations,
+        EQUIVALENCE and COMMON statements are this program's."""
+        program = Program(
+            decls=dict(self.decls if decls is None else decls),
+            equivalences=list(
+                self.equivalences if equivalences is None else equivalences
+            ),
+            body=body,
+            name=self.name,
+            commons=list(self.commons if commons is None else commons),
+            subroutines=dict(self.subroutines),
+        )
+        program.number_statements()
+        return program
+
     # -- traversal ----------------------------------------------------------
 
     def walk_statements(
@@ -298,6 +322,59 @@ def _walk(
             )
         else:
             raise TypeError(f"unknown statement {type(stmt).__name__}")
+
+
+def _same(expr: Expr) -> Expr:
+    return expr
+
+
+def rewrite_statements(
+    stmts: Sequence[Stmt],
+    expr: Callable[[Expr], Expr] = _same,
+    loop: Callable[[Loop], Stmt | None] | None = None,
+) -> list[Stmt]:
+    """New statement objects for ``stmts``, all the way down.
+
+    Every expression slot (assignment sides, loop bounds, IF conditions,
+    call arguments) passes through ``expr``; labels, spans and loop steps
+    are kept.  ``loop`` sees each loop of the input first and may return
+    its replacement; ``None`` rewrites the loop as above.
+    """
+    out: list[Stmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, Assignment):
+            new: Stmt = Assignment(
+                expr(stmt.lhs), expr(stmt.rhs), stmt.label, span=stmt.span
+            )
+        elif isinstance(stmt, Loop):
+            new = loop(stmt) if loop is not None else None
+            if new is None:
+                new = Loop(
+                    stmt.var,
+                    expr(stmt.lower),
+                    expr(stmt.upper),
+                    rewrite_statements(stmt.body, expr, loop),
+                    stmt.step,
+                    span=stmt.span,
+                )
+        elif isinstance(stmt, If):
+            new = If(
+                expr(stmt.cond),
+                rewrite_statements(stmt.then_body, expr, loop),
+                rewrite_statements(stmt.else_body, expr, loop),
+                span=stmt.span,
+            )
+        elif isinstance(stmt, CallStmt):
+            new = CallStmt(
+                stmt.name,
+                tuple(expr(arg) for arg in stmt.args),
+                stmt.label,
+                span=stmt.span,
+            )
+        else:
+            raise TypeError(f"unknown statement {type(stmt).__name__}")
+        out.append(new)
+    return out
 
 
 def has_control_flow(stmts: Sequence[Stmt]) -> bool:

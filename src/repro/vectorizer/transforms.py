@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..depgraph.builder import Dependence, DependenceGraph
 from ..dirvec.vectors import D_EQ, DirVec
-from ..ir import Assignment, Loop, Program
+from ..ir import Loop, Program, rewrite_statements
 
 
 def parallel_levels(graph: DependenceGraph) -> dict[str, set[int]]:
@@ -101,53 +101,31 @@ def _edge_allows_swap(edge: Dependence, level_a: int, level_b: int) -> bool:
 def interchange(program: Program, outer_var: str) -> Program:
     """Swap a perfectly nested loop pair (``outer_var`` and its only child).
 
-    Purely structural; check :func:`interchange_legal` first.
+    Purely structural; check :func:`interchange_legal` first.  Each loop
+    keeps its header's span; the input program is left untouched.
     """
-    def rewrite(stmts: list) -> list:
-        out = []
-        for stmt in stmts:
-            if isinstance(stmt, Loop) and stmt.var == outer_var:
-                if len(stmt.body) != 1 or not isinstance(stmt.body[0], Loop):
-                    raise ValueError(
-                        f"loop {outer_var} is not perfectly nested"
-                    )
-                inner = stmt.body[0]
-                swapped_outer = Loop(
-                    inner.var,
-                    inner.lower,
-                    inner.upper,
-                    [
-                        Loop(
-                            stmt.var,
-                            stmt.lower,
-                            stmt.upper,
-                            list(inner.body),
-                            stmt.step,
-                        )
-                    ],
-                    inner.step,
-                )
-                out.append(swapped_outer)
-            elif isinstance(stmt, Loop):
-                out.append(
-                    Loop(
-                        stmt.var,
-                        stmt.lower,
-                        stmt.upper,
-                        rewrite(stmt.body),
-                        stmt.step,
-                    )
-                )
-            else:
-                out.append(Assignment(stmt.lhs, stmt.rhs, stmt.label))
-        return out
 
-    rewritten = Program(
-        decls=dict(program.decls),
-        equivalences=list(program.equivalences),
-        body=rewrite(program.body),
-        name=program.name,
-        commons=list(program.commons),
-    )
-    rewritten.number_statements()
-    return rewritten
+    def swap(outer: Loop) -> Loop | None:
+        if outer.var != outer_var:
+            return None
+        if len(outer.body) != 1 or not isinstance(outer.body[0], Loop):
+            raise ValueError(f"loop {outer_var} is not perfectly nested")
+        inner = outer.body[0]
+        swapped_inner = Loop(
+            outer.var,
+            outer.lower,
+            outer.upper,
+            rewrite_statements(inner.body),
+            outer.step,
+            span=outer.span,
+        )
+        return Loop(
+            inner.var,
+            inner.lower,
+            inner.upper,
+            [swapped_inner],
+            inner.step,
+            span=inner.span,
+        )
+
+    return program.with_body(rewrite_statements(program.body, loop=swap))

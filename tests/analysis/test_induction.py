@@ -109,6 +109,29 @@ class TestSubstitution:
             assert evaluate_expr(a_sub, {"i": i}) == i  # before update
             assert evaluate_expr(b_sub, {"i": i}) == i + 1  # after update
 
+    def test_use_in_a_loop_inside_the_innermost_body_is_substituted(self):
+        # The update is dropped, so a use left in the inner J loop would
+        # read a variable nothing assigns any more.
+        src = (
+            "IB = 0\nDO i = 1, 10\nIB = IB + 1\nDO j = 1, 5\n"
+            "A(IB) = B(j)\nENDDO\nENDDO\n"
+        )
+        p = normalize_program(parse_fortran(src))
+        rewritten = substitute_induction_variables(p)
+        text = format_program(rewritten)
+        assert "IB" not in text
+        assert "A(i+1) = B(j+1)" in text
+
+    def test_use_in_a_sibling_loop_blocks_substitution(self):
+        # A(IB) in the K loop is outside the innermost body of the nest
+        # that updates IB, so IB must stay a variable.
+        src = (
+            "IB = 0\nDO i = 1, 10\nDO k = 1, 3\nA(IB) = B(k)\nENDDO\n"
+            "DO j = 1, 5\nIB = IB + 1\nB(IB) = 1\nENDDO\nENDDO\n"
+        )
+        p = normalize_program(parse_fortran(src))
+        assert substitute_induction_variables(p) is p
+
     def test_program_without_ivs_returned_as_is(self):
         p = normalize_program(
             parse_fortran("REAL X(9)\nDO i = 0, 8\nX(i) = 1\nENDDO\n")

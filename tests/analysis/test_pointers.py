@@ -45,6 +45,18 @@ class TestConversionRules:
         assert "DO p = 10, 20" in text
         assert "d(p) = 0" in text
 
+    def test_nested_deref_into_the_walked_array(self):
+        # The inner *(d + 3) is converted before the outer dereference
+        # strips d from its pointer, so it still finds its base array.
+        src = """
+            float d[100];
+            float *p;
+            for (p = d; p <= d + 50; p++) *p = *(p + *(d + 3));
+        """
+        program, info = parse_c(src)
+        converted = convert_pointers(program, info)
+        assert "d(p) = d(p+d(3))" in format_program(converted)
+
     def test_deref_of_unknown_pointer_rejected(self):
         src = "float *p; *p = 0;"
         program, info = parse_c(src)

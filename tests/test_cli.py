@@ -166,6 +166,20 @@ class TestVectorizeVerify:
             (True, False),
         ]
 
+    @pytest.mark.parametrize(
+        "tail", ["IF (B(1) > 0) THEN\n  B(2) = 1\nENDIF\n", "CALL F(A)\n"]
+    )
+    def test_interchange_with_if_or_call(self, tmp_path, capsys, tail):
+        path = tmp_path / "f.f"
+        path.write_text(
+            "REAL A(10, 10), B(10)\nDO i = 1, 5\n  DO j = 1, 7\n"
+            "    A(i, j) = A(i, j) + 1\n  ENDDO\nENDDO\n" + tail
+        )
+        assert main(["vectorize", str(path), "--interchange", "i"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "DO j = 0, 6\n  DO i = 0, 4\n" in captured.out
+
     def test_unknown_interchange_variable(self, race_file, capsys):
         assert main(["vectorize", str(race_file), "--interchange", "z"]) == 1
         assert "no loop" in capsys.readouterr().err

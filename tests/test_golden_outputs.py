@@ -4,7 +4,10 @@ Every ``examples/*.f``/``*.c`` program, one generated corpus program per
 style for seeds 0-6 (``generate_program(lines=150, linearized_nests=12)``)
 and one program mixing all styles per seed is linted with the schedule verifier (``render_json``) and compiled
 (emitted text with its schedule diagnostics and degradations, and the
-dependence graph's ``format_table()``).  A refactoring must leave every
+dependence graph's ``format_table()``).  Every ``examples/*.py`` script is
+run in a fresh interpreter and its standard output pinned too: the scripts
+reach ``interchange``, ``partially_linearize`` and the induction and
+EQUIVALENCE passes through the public API.  A refactoring must leave every
 digest unchanged; a change that is meant to change answers re-records the
 goldens and names each changed one in the change log::
 
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,15 +79,28 @@ def outputs(name: str, text: str) -> dict[str, str]:
     }
 
 
+def script_outputs(name: str) -> dict[str, str]:
+    """The digest of what one example script prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    stdout = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / name)],
+        env=env,
+        capture_output=True,
+        check=True,
+    ).stdout
+    return {"stdout": hashlib.sha256(stdout).hexdigest()}
+
+
 def recorded() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN.read_text())
 
 
 INPUTS = golden_inputs()
+SCRIPTS = [path.name for path in sorted((ROOT / "examples").glob("*.py"))]
 
 
 def test_every_input_is_recorded():
-    assert sorted(recorded()) == sorted(INPUTS)
+    assert sorted(recorded()) == sorted([*INPUTS, *SCRIPTS])
 
 
 @pytest.mark.parametrize("name", list(INPUTS))
@@ -93,11 +111,17 @@ def test_outputs_match_golden(name):
     assert not changed, f"{name}: changed goldens {changed}"
 
 
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_output_matches_golden(name):
+    assert script_outputs(name) == recorded()[name]
+
+
 def main(argv: list[str]) -> int:
     if argv != ["--update"]:
         print(__doc__)
         return 1
     table = {name: outputs(name, text) for name, text in INPUTS.items()}
+    table.update({name: script_outputs(name) for name in SCRIPTS})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} inputs in {GOLDEN}")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.depgraph import analyze_dependences
 from repro.frontend import parse_fortran
-from repro.ir import Loop, format_program
+from repro.ir import If, Loop, format_program
 from repro.vectorizer import interchange, interchange_legal, parallel_levels
 
 
@@ -233,3 +233,48 @@ class TestInterchangeTransform:
         original = run(parse_fortran(self.SOURCE))
         swapped = run(interchange(parse_fortran(self.SOURCE), "i"))
         assert original == swapped
+
+    BLOCK_NEST = """REAL A(10, 10), B(10)
+DO i = 1, 5
+  DO j = 1, 7
+    A(i, j) = A(i, j) + 1
+  ENDDO
+ENDDO
+"""
+
+    def test_accepts_if_after_the_nest(self):
+        source = self.BLOCK_NEST + "IF (B(1) > 0) THEN\n  B(2) = 1\nENDIF\n"
+        swapped = interchange(parse_fortran(source), "i")
+        assert swapped.body[0].var == "j"
+        assert isinstance(swapped.body[1], If)
+        assert str(swapped.body[1].then_body[0]) == "B(2) = 1"
+        assert [s.label for s in swapped.assignments()] == ["S1", "S2"]
+
+    def test_accepts_call_after_the_nest(self):
+        program = parse_fortran(self.BLOCK_NEST + "CALL F(A)\n")
+        swapped = interchange(program, "i")
+        assert swapped.body[0].var == "j"
+        assert str(swapped.body[1]) == "CALL F(A)"
+        assert swapped.body[1].label == "S2"
+
+    def test_keeps_spans(self):
+        program = parse_fortran(self.BLOCK_NEST)
+        outer, inner = program.body[0], program.body[0].body[0]
+        swapped = interchange(program, "i")
+        new_outer = swapped.body[0]
+        new_inner = new_outer.body[0]
+        assert (new_outer.var, new_outer.span) == ("j", inner.span)
+        assert (new_inner.var, new_inner.span) == ("i", outer.span)
+        assert str(new_outer.span) == "3:3" and str(new_inner.span) == "2:1"
+        assert new_inner.body[0].span == inner.body[0].span is not None
+
+    def test_leaves_the_input_untouched(self):
+        program = parse_fortran(self.BLOCK_NEST + "B(2) = 1\n")
+        before = format_program(program)
+        statements = [stmt for stmt, _ in program.walk_statements()]
+        swapped = interchange(program, "i")
+        swapped.number_statements("T")
+        assert format_program(program) == before
+        assert [s.label for s in statements] == ["S1", "S2"]
+        rebuilt = [stmt for stmt, _ in swapped.walk_statements()]
+        assert not {id(s) for s in rebuilt} & {id(s) for s in statements}
