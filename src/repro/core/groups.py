@@ -16,7 +16,11 @@ The solver picks the strongest applicable method:
 2. *Single variable*: exact (SVPC reasoning), concrete or symbolic.
 3. *Small concrete group*: exhaustive enumeration — exact verdict and exact
    direction vectors.
-4. *Fallback*: per-direction GCD + Banerjee refinement (sound, may say MAYBE).
+4. *Fallback*: per-direction GCD + Banerjee refinement (sound, may say
+   MAYBE).  Each refined level's ``<``, ``=`` and ``>`` substitutions are
+   worked out once; a direction vector's equation is the sum of its levels'
+   pieces and the untouched terms, tested by the same GCD and Banerjee
+   functions as the whole equation.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ from itertools import product
 
 from ..dirvec.vectors import D_EQ, D_GT, D_LT, D_STAR, DirElem, DirVec
 from ..symbolic import Assumptions, LinExpr, Poly
-from ..deptests.banerjee import equation_banerjee_verdict
-from ..deptests.gcd import equation_gcd_verdict
+from ..deptests.banerjee import banerjee_verdict, equation_banerjee_verdict
+from ..deptests.gcd import equation_gcd_verdict, gcd_verdict
 from ..deptests.problem import BoundedVar, DependenceProblem, Verdict
 from .chaos import chaos_point
 from .resilience import Budget
+
+_ZERO = Poly.const(0)
 
 #: Largest box (points) a separated concrete group is enumerated over
 #: (method 3); bigger groups fall back to GCD + Banerjee refinement.
@@ -390,15 +396,16 @@ _REFINE_LEVEL_CAP = 3
 def _refine_with_tests(
     equation: LinExpr, problem: DependenceProblem
 ) -> GroupSolution:
+    """GCD + Banerjee on the whole equation, then once per direction vector.
+
+    A direction vector over the refined levels constrains each level the way
+    :meth:`DependenceProblem.with_direction` substitutes it, and the levels
+    do not interact, so each level's three substitutions are worked out once
+    (:func:`_level_pieces`) and every vector's equation is the untouched
+    terms plus one piece per level.
+    """
     names = sorted(equation.variables())
     levels = _full_pair_levels(names, problem)[:_REFINE_LEVEL_CAP]
-    sub_vars = [problem.variables[n] for n in names]
-    sub_problem = DependenceProblem(
-        [equation],
-        sub_vars,
-        common_levels=problem.common_levels,
-        assumptions=problem.assumptions,
-    )
     if equation_gcd_verdict(equation) is Verdict.INDEPENDENT:
         return GroupSolution(equation, Verdict.INDEPENDENT, None, method="refine")
     if (
@@ -415,43 +422,106 @@ def _refine_with_tests(
             {DirVec.star(problem.common_levels)},
             method="refine",
         )
+    pairs = _equation_level_pairs(names, problem)
+    if pairs is None:
+        # Some common level has no pair among the equation's variables, so
+        # no direction can be imposed on it: nothing is refuted.
+        return GroupSolution(
+            equation,
+            Verdict.MAYBE,
+            {
+                _padded(problem.common_levels, dict(zip(levels, combo)))
+                for combo in product((D_LT, D_EQ, D_GT), repeat=len(levels))
+            },
+            method="refine",
+        )
+    refined = {var.name for level in levels for var in pairs[level]}
+    untouched = [
+        (coeff, problem.variables[name].upper)
+        for name, coeff in equation.coeffs.items()
+        if name not in refined
+    ]
     feasible: set[DirVec] = set()
-    for combo in product((D_LT, D_EQ, D_GT), repeat=len(levels)):
-        mapping = dict(zip(levels, combo))
-        vec = _padded(problem.common_levels, mapping)
-        try:
-            constrained = sub_problem.with_direction(
-                _restrict(vec, sub_problem)
-            )
-        except ValueError:
-            feasible.add(vec)
+    for combo in product(
+        *(_level_pieces(equation, *pairs[level]) for level in levels)
+    ):
+        terms = list(untouched)
+        constant = equation.const
+        for _, piece_terms, shift in combo:
+            terms.extend(piece_terms)
+            if shift:
+                constant = constant + shift
+        if (
+            gcd_verdict((coeff for coeff, _ in terms), constant)
+            is Verdict.INDEPENDENT
+            or banerjee_verdict(terms, constant, problem.assumptions)
+            is Verdict.INDEPENDENT
+        ):
             continue
-        gcd_out = Verdict.MAYBE
-        for eq in constrained.equations:
-            if equation_gcd_verdict(eq) is Verdict.INDEPENDENT:
-                gcd_out = Verdict.INDEPENDENT
-        banerjee_out = Verdict.MAYBE
-        for eq in constrained.equations:
-            if (
-                equation_banerjee_verdict(
-                    eq, constrained.variables, constrained.assumptions
-                )
-                is Verdict.INDEPENDENT
-            ):
-                banerjee_out = Verdict.INDEPENDENT
-        if Verdict.INDEPENDENT not in (gcd_out, banerjee_out):
-            feasible.add(vec)
+        mapping = {level: piece[0] for level, piece in zip(levels, combo)}
+        feasible.add(_padded(problem.common_levels, mapping))
     if not feasible:
         return GroupSolution(equation, Verdict.INDEPENDENT, None, method="refine")
     return GroupSolution(equation, Verdict.MAYBE, feasible, method="refine")
 
 
-def _restrict(vec: DirVec, problem: DependenceProblem) -> DirVec:
-    """Keep constraints only at levels whose pair exists in the problem."""
-    out = []
-    for level, elem in enumerate(vec, start=1):
-        out.append(elem if problem.level_pair(level) is not None else D_STAR)
-    return DirVec(out)
+#: One direction at one level: the direction, the ``(coefficient, upper
+#: bound)`` terms the level leaves in the constrained equation, and the
+#: constant it adds.
+_Piece = tuple[DirElem, list[tuple[Poly, Poly]], Poly]
+
+
+def _level_pieces(
+    equation: LinExpr, alpha: BoundedVar, beta: BoundedVar
+) -> tuple[_Piece, _Piece, _Piece]:
+    """The ``<``, ``=`` and ``>`` substitutions of one level's pair.
+
+    Mirrors :meth:`DependenceProblem.with_direction`: ``=`` replaces beta by
+    alpha over the shared range; ``<`` writes ``beta = alpha + 1 + t`` with
+    ``t in [0, Z_beta - 1]`` and ``>`` the same with the sides swapped.  A
+    coefficient that cancels drops its term, as :class:`LinExpr` does.
+    """
+    a, b = equation.coeff(alpha.name), equation.coeff(beta.name)
+    merged = a + b
+    shared = alpha.upper
+    if alpha.upper.is_constant() and beta.upper.is_constant():
+        if beta.upper.as_int() < alpha.upper.as_int():
+            shared = beta.upper
+    equal = (D_EQ, [(merged, shared)] if merged else [], _ZERO)
+
+    def ordered(elem: DirElem, lo: BoundedVar, hi: BoundedVar, hi_coeff: Poly):
+        lo_upper = hi.upper - 1
+        if lo.upper.is_constant() and hi.upper.is_constant():
+            lo_upper = Poly.const(min(lo.upper.as_int(), hi.upper.as_int() - 1))
+        elif lo.upper != hi.upper:
+            lo_upper = lo.upper
+        terms = [(merged, lo_upper)] if merged else []
+        terms.append((hi_coeff, hi.upper - 1))
+        return elem, terms, hi_coeff
+
+    return ordered(D_LT, alpha, beta, b), equal, ordered(D_GT, beta, alpha, a)
+
+
+def _equation_level_pairs(
+    names: list[str], problem: DependenceProblem
+) -> dict[int, tuple[BoundedVar, BoundedVar]] | None:
+    """Each common level's (side-0, side-1) variables among ``names``.
+
+    None when some common level lacks one of them: such a sub-problem takes
+    no direction vector (:meth:`DependenceProblem.with_direction` raises).
+    """
+    sides: dict[int, list[BoundedVar | None]] = {}
+    for name in names:
+        var = problem.variables[name]
+        if var.level is not None and var.side in (0, 1):
+            sides.setdefault(var.level, [None, None])[var.side] = var
+    pairs = {}
+    for level in range(1, problem.common_levels + 1):
+        alpha, beta = sides.get(level, (None, None))
+        if alpha is None or beta is None:
+            return None
+        pairs[level] = (alpha, beta)
+    return pairs
 
 
 # -- shared helpers --------------------------------------------------------------

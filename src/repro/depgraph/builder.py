@@ -499,6 +499,9 @@ def analyze_dependences(
             )
             for first, second in pairs
         ]
+    # One assumption set per enclosing-loop set: the pairs of a nest share
+    # it, and with it the prover's memo.
+    loop_facts: dict[frozenset[str], Assumptions] = {}
     outcomes = []
     for index, (first, second) in enumerate(pairs):
         fingerprint = fingerprints[index] if fingerprints is not None else None
@@ -519,6 +522,7 @@ def analyze_dependences(
             strict=strict,
             cache=problem_cache,
             deadline=deadline,
+            loop_facts=loop_facts,
         )
         if fingerprint is not None:
             outcome_cache.store(fingerprint, outcome)
@@ -560,6 +564,7 @@ def evaluate_pair(
     strict: bool = False,
     cache: ProblemCache | None = None,
     deadline: float | None = None,
+    loop_facts: dict[frozenset[str], Assumptions] | None = None,
 ) -> PairOutcome:
     """Evaluate one pair behind its own barrier and fresh budget.
 
@@ -573,6 +578,11 @@ def evaluate_pair(
     carries an RS006 diagnostic (the metered tests may also give up silently
     as MAYBE — the RS006 note makes that visible and, via
     :attr:`PairOutcome.reusable`, non-replayable).
+
+    ``loop_facts`` maps the loop-variable names enclosing a pair to
+    :func:`nonempty_loop_assumptions` of them over ``bounds`` and
+    ``assumptions``; :func:`analyze_dependences` shares one such dict
+    between the pairs of one graph.
     """
     from ..lint import codes
 
@@ -603,6 +613,7 @@ def evaluate_pair(
             derive_bounds,
             budget,
             cache,
+            {} if loop_facts is None else loop_facts,
         )
 
     def degrade() -> None:
@@ -648,15 +659,19 @@ def _pair_specs(
     derive_bounds: bool,
     budget: Budget | None,
     cache: ProblemCache | None,
+    loop_facts: dict[frozenset[str], Assumptions],
 ) -> None:
     if derive_bounds:
         # A dependence requires both statement instances to execute, so the
         # loops enclosing either reference are non-empty *for this pair*
-        # (the fact would be unsound applied program-wide).
-        loop_vars = {loop.var for loop in first.loops} | {
-            loop.var for loop in second.loops
-        }
-        assumptions = nonempty_loop_assumptions(loop_vars, bounds, assumptions)
+        # (the fact would be unsound applied program-wide).  Bounds are
+        # keyed by variable name, so the names are all the facts depend on.
+        loop_vars = frozenset(loop.var for loop in first.loops + second.loops)
+        if loop_vars not in loop_facts:
+            loop_facts[loop_vars] = nonempty_loop_assumptions(
+                loop_vars, bounds, assumptions
+            )
+        assumptions = loop_facts[loop_vars]
     pair = build_pair_problem(first, second, bounds, assumptions)
     if pair.problem is None:
         outcome.edges.extend(

@@ -11,15 +11,21 @@ exact over the *reals* for a single equation, which is precisely why it
 cannot disprove the paper's intro equation (1): that equation has real
 solutions but no integer ones.
 
-Direction-vector constrained Banerjee bounds are obtained by running this
-test on ``problem.with_direction(dirvec)`` — the substitution formulation is
-algebraically identical to the textbook per-direction bound formulas.
+The bounds are computed over ``(coefficient, upper bound)`` terms plus a
+constant (:func:`term_bounds`).  The whole-equation test passes the
+equation's own terms; the per-direction refinement of
+:mod:`repro.core.groups` passes, for each direction vector, the terms that
+the substitution of :meth:`DependenceProblem.with_direction` would leave —
+which is algebraically identical to the textbook per-direction bound
+formulas — without building the substituted problem.
 
 Symbolic coefficients are supported when their signs are provable from the
 problem's :class:`~repro.symbolic.assumptions.Assumptions`.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from ..symbolic import Assumptions, LinExpr, Poly
 from .problem import BoundedVar, DependenceProblem, Verdict
@@ -46,20 +52,32 @@ def equation_bounds(
     Returns None when a coefficient's sign (or the sign of an upper bound)
     cannot be proven, making the extreme values unknown.
     """
-    lower = equation.const
-    upper = equation.const
-    for name, coeff in equation.coeffs.items():
-        bound = variables[name].upper
+    return term_bounds(
+        _terms(equation, variables), equation.const, assumptions
+    )
+
+
+def term_bounds(
+    terms: Iterable[tuple[Poly, Poly]],
+    constant: Poly,
+    assumptions: Assumptions,
+) -> tuple[Poly, Poly] | None:
+    """The (lower, upper) range of ``constant + sum(c * z)``, ``z in [0, Z]``.
+
+    ``terms`` holds one ``(c, Z)`` per variable, with ``c`` non-zero.
+    Returns None when the sign of some ``c`` or ``Z`` cannot be proven.
+    """
+    lower = upper = constant
+    for coeff, bound in terms:
         if assumptions.is_nonneg(bound) is None:
             return None
-        contribution = coeff * bound
         sign = assumptions.sign(coeff)
         if sign is None:
             return None
         if sign > 0:
-            upper = upper + contribution
+            upper = upper + coeff * bound
         elif sign < 0:
-            lower = lower + contribution
+            lower = lower + coeff * bound
     return lower, upper
 
 
@@ -69,14 +87,33 @@ def equation_banerjee_verdict(
     assumptions: Assumptions | None = None,
 ) -> Verdict:
     """Banerjee verdict for a single equation."""
-    assumptions = assumptions or Assumptions.empty()
-    bounds = equation_bounds(equation, variables, assumptions)
+    return banerjee_verdict(
+        _terms(equation, variables),
+        equation.const,
+        assumptions or Assumptions.empty(),
+    )
+
+
+def banerjee_verdict(
+    terms: Iterable[tuple[Poly, Poly]],
+    constant: Poly,
+    assumptions: Assumptions,
+) -> Verdict:
+    """Banerjee verdict for ``constant + sum(c * z) = 0`` (see :func:`term_bounds`)."""
+    bounds = term_bounds(terms, constant, assumptions)
     if bounds is None:
         return Verdict.MAYBE
     lower, upper = bounds
     if assumptions.is_pos(lower) or assumptions.is_neg(upper):
         return Verdict.INDEPENDENT
     return Verdict.MAYBE
+
+
+def _terms(
+    equation: LinExpr, variables: dict[str, BoundedVar]
+) -> Iterator[tuple[Poly, Poly]]:
+    for name, coeff in equation.coeffs.items():
+        yield coeff, variables[name].upper
 
 
 def gcd_banerjee_test(problem: DependenceProblem) -> Verdict:

@@ -10,11 +10,22 @@ licensed.  Serial loops stay ``DO``.
 
 from __future__ import annotations
 
-from ..ir import BinOp, Call, CallStmt, Expr, Loop, UnaryOp, summarize, to_linexpr
+from ..ir import (
+    BinOp,
+    Call,
+    CallStmt,
+    Expr,
+    Loop,
+    UnaryOp,
+    substitute_name,
+    summarize,
+    to_linexpr,
+    to_poly,
+)
 from ..ir.expr import ArrayRef
-from ..ir.fold import fold, simplify
+from ..ir.fold import fold, poly_to_expr, simplify
 from ..ir.summary import ProgramSummary, StmtSummary
-from ..symbolic import LinExpr
+from ..symbolic import LinExpr, Poly
 from .allen_kennedy import VectorizationResult, VectorLoop
 
 
@@ -162,10 +173,8 @@ def _simple(expr: BinOp) -> bool:
 
 def _section(sub: Expr, form: LinExpr | None, loop: Loop) -> str:
     """Render ``sub`` over the loop range as ``lo:hi[:stride]``."""
-    from ..ir import substitute_name
-
-    first = simplify(substitute_name(sub, loop.var, loop.lower))
-    last = simplify(substitute_name(sub, loop.var, loop.upper))
+    first = _at(sub, form, loop.var, loop.lower)
+    last = _at(sub, form, loop.var, loop.upper)
     lowered = form if form is not None else to_linexpr(sub, {loop.var})
     stride = lowered.coeff(loop.var) if lowered is not None else None
     if stride is not None and stride.is_constant():
@@ -175,3 +184,21 @@ def _section(sub: Expr, form: LinExpr | None, loop: Loop) -> str:
             # reversed range with its negative stride (D(9:0:-1)).
             return f"{first}:{last}:{value}"
     return f"{first}:{last}"
+
+
+def _at(sub: Expr, form: LinExpr | None, var: str, value: Expr) -> Expr:
+    """``sub`` with ``var := value``, simplified.
+
+    The stored affine form gives the polynomial that ``simplify`` would
+    build from the substituted tree (every other name a symbol); a
+    subscript without one, or a bound that does not lower, is substituted
+    and simplified as a tree.
+    """
+    bound = to_poly(value) if form is not None else None
+    if bound is None:
+        return simplify(substitute_name(sub, var, value))
+    poly = form.const + form.coeff(var) * bound
+    for name, coeff in form.coeffs.items():
+        if name != var:
+            poly = poly + coeff * Poly.symbol(name)
+    return poly_to_expr(poly)

@@ -534,6 +534,30 @@ class TestLinearPasses:
         lint_source(corpus_source(1), assumptions=assumed)
         assert len(derived) == 2
 
+    def test_loop_facts_once_per_loop_set_per_graph(self, monkeypatch):
+        from repro.depgraph import analyze_dependences, builder
+
+        program = program_of(corpus_source(1))
+        loop_sets = {
+            frozenset(loop.var for loop in first.loops + second.loops)
+            for first, second in builder.reference_pairs(program)
+        }
+        calls = []
+        real = builder.nonempty_loop_assumptions
+
+        def counting(loop_vars, bounds, base):
+            calls.append(frozenset(loop_vars))
+            return real(loop_vars, bounds, base)
+
+        # perfbench traces the graph builder's own binding.
+        monkeypatch.setattr(builder, "nonempty_loop_assumptions", counting)
+        for build in (1, 2):
+            # Each graph builds its facts afresh: nothing outlives the call.
+            del calls[:]
+            graph = analyze_dependences(program, normalized=True)
+            assert graph.perf.pairs > len(loop_sets) > 1
+            assert Counter(calls) == Counter(loop_sets), build
+
     def test_linear_bounds_need_no_search(self, monkeypatch):
         from repro.lint.engine import lint_source
 
