@@ -21,7 +21,7 @@ in a deterministic order (by span, then code).
 
 from __future__ import annotations
 
-from ..ir import If, Loop, Program, summarize, to_poly
+from ..ir import Program, summarize, to_poly
 from ..lint import codes
 from ..lint.diagnostics import Diagnostic, sort_diagnostics
 from ..symbolic import Assumptions, LinExpr, Poly
@@ -37,9 +37,28 @@ def check_program(
     assumptions = assumptions or Assumptions.empty()
     diagnostics: list[Diagnostic] = []
     bounds = rectangular_bounds(program)
-    _check_loops(program.body, set(), diagnostics)
+    summaries = summarize(program)
+    for entry in summaries.loop_table.entries:
+        loop = entry.loop
+        if any(outer.var == loop.var for outer in entry.outer):
+            diagnostics.append(
+                Diagnostic.make(
+                    codes.DL006,
+                    f"loop variable {loop.var} shadows an enclosing loop",
+                    span=loop.span,
+                )
+            )
+        upper = to_poly(loop.upper)
+        if upper is not None and upper.is_constant() and upper.as_int() < 0:
+            diagnostics.append(
+                Diagnostic.make(
+                    codes.DL007,
+                    f"loop {loop.var}: empty range (upper bound {upper})",
+                    span=loop.span,
+                )
+            )
     dims_of: dict[str, list] = {}  # each dimension with its bounds lowered
-    for summary in summarize(program).statements:
+    for summary in summaries.statements:
         stmt = summary.stmt
         for ref in summary.refs:
             decl = program.array(ref.ref.array)
@@ -68,36 +87,6 @@ def check_program(
                     diagnostics,
                 )
     return sort_diagnostics(diagnostics)
-
-
-def _check_loops(
-    stmts: list, active: set[str], diagnostics: list[Diagnostic]
-) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, If):
-            _check_loops(stmt.then_body, active, diagnostics)
-            _check_loops(stmt.else_body, active, diagnostics)
-            continue
-        if not isinstance(stmt, Loop):
-            continue
-        if stmt.var in active:
-            diagnostics.append(
-                Diagnostic.make(
-                    codes.DL006,
-                    f"loop variable {stmt.var} shadows an enclosing loop",
-                    span=stmt.span,
-                )
-            )
-        upper = to_poly(stmt.upper)
-        if upper is not None and upper.is_constant() and upper.as_int() < 0:
-            diagnostics.append(
-                Diagnostic.make(
-                    codes.DL007,
-                    f"loop {stmt.var}: empty range (upper bound {upper})",
-                    span=stmt.span,
-                )
-            )
-        _check_loops(stmt.body, active | {stmt.var}, diagnostics)
 
 
 def _check_subscript_range(

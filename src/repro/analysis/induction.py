@@ -20,10 +20,13 @@ Recognition pattern (on a *normalized* program):
 
 * an initialization ``v = c0`` directly preceding a loop nest;
 * exactly one update ``v = v + c`` (or ``v = c + v``) in the innermost body
-  of a perfectly nested path of that nest, with ``c`` loop-invariant;
+  of a perfectly nested path of that nest;
 * no other assignment to ``v`` anywhere;
-* every enclosing loop's trip count is loop-invariant (guaranteed after
-  rectangularization of bounds — symbolic bounds are fine).
+* ``c0`` (apart from ``v``), ``c`` and the upper bounds of the controlling
+  loops inside the outermost one read no variable of the nest's loops and
+  no scalar the nest assigns (its loop table): the closed form reads
+  them anywhere in the nest.  Symbolic parameters are fine; a loop-variant
+  step or a triangular nest is left alone.
 
 The closed form at the update point (after executing it) is::
 
@@ -50,6 +53,7 @@ from ..ir import (
     Name,
     Program,
     Stmt,
+    loop_table,
     rewrite_statements,
     substitute_name,
 )
@@ -88,7 +92,14 @@ def find_induction_variables(program: Program) -> list[InductionVariable]:
         if found is None:
             continue
         loops, update_index, step = found
-        if any(name in _expr_names(loop.upper) for loop in loops):
+        # The closed form reads the init, the step and the inner trip
+        # counts anywhere in the nest, so none of them may change there:
+        # no loop variable of the nest, no scalar it assigns.
+        varying = loop_table([loops[0]]).assigned
+        reads = (stmt.rhs.names() - {name}) | step.names()
+        for loop in loops[1:]:
+            reads |= loop.upper.names()
+        if name in loops[0].upper.names() or reads & varying:
             continue
         out.append(
             InductionVariable(name, stmt.rhs, step, loops, update_index)
@@ -119,9 +130,9 @@ def _match_update(stmt: Assignment, name: str) -> Expr | None:
     rhs = stmt.rhs
     if isinstance(rhs, BinOp) and rhs.op == "+":
         if isinstance(rhs.left, Name) and rhs.left.name == name:
-            return rhs.right if name not in _expr_names(rhs.right) else None
+            return rhs.right if name not in rhs.right.names() else None
         if isinstance(rhs.right, Name) and rhs.right.name == name:
-            return rhs.left if name not in _expr_names(rhs.left) else None
+            return rhs.left if name not in rhs.left.names() else None
     return None
 
 
@@ -132,41 +143,37 @@ def substitute_induction_variables(program: Program) -> Program:
     (outside the innermost body of the recognized nest) leave the variable
     untouched; a program in which nothing is substituted is returned as is.
     """
-    if not find_induction_variables(program):
+    body = program.body
+    ivs = [
+        iv
+        for iv in find_induction_variables(program)
+        if _uses_confined_to_innermost(iv) and not _read_after_nest(body, iv)
+    ]
+    if not ivs:
         return program
-    rewritten = program.with_body(rewrite_statements(program.body))
-    # Re-recognize on the copy so loop references point into it.
-    ivs = find_induction_variables(rewritten)
-    substituted = False
-    for iv in ivs:
-        if not _uses_confined_to_innermost(iv) or _read_after_nest(
-            rewritten.body, iv
-        ):
-            continue
-        substituted = True
-        innermost = iv.loops[-1]
-        before = innermost.body[: iv.update_index]
-        after = innermost.body[iv.update_index + 1 :]  # the update is dropped
+    # One variable per nest: its initialization directly precedes it.
+    inits = {id(body[_nest_index(body, iv) - 1]) for iv in ivs}
+    of_innermost = {id(iv.loops[-1]): iv for iv in ivs}
+
+    def substitute(loop: Loop) -> Loop | None:
+        iv = of_innermost.get(id(loop))
+        if iv is None:
+            return None
+        before = loop.body[: iv.update_index]
+        after = loop.body[iv.update_index + 1 :]  # the update is dropped
         closed_before = _closed_form(iv, after_update=False)
         closed_after = _closed_form(iv, after_update=True)
-        innermost.body[:] = [
+        new_body = [
             *_substitute(before, iv.name, closed_before),
             *_substitute(after, iv.name, closed_after),
         ]
-        rewritten.body = [
-            s
-            for s in rewritten.body
-            if not (
-                isinstance(s, Assignment)
-                and isinstance(s.lhs, Name)
-                and s.lhs.name == iv.name
-                and s.rhs is iv.init
-            )
-        ]
-    if not substituted:
-        return program
-    rewritten.number_statements()
-    return rewritten
+        return Loop(
+            loop.var, loop.lower, loop.upper, new_body, loop.step,
+            span=loop.span,
+        )
+
+    kept = [stmt for stmt in body if id(stmt) not in inits]
+    return program.with_body(rewrite_statements(kept, loop=substitute))
 
 
 def _substitute(stmts: list[Stmt], name: str, value: Expr) -> list[Stmt]:
@@ -210,24 +217,28 @@ def _uses_confined_to_innermost(iv: InductionVariable) -> bool:
 def _read_after_nest(body: list[Stmt], iv: InductionVariable) -> bool:
     """Does a statement after the nest mention the variable?  Substitution
     drops the update, so such a read would see no value."""
-    nest = next(i for i, stmt in enumerate(body) if stmt is iv.loops[0])
+    nest = _nest_index(body, iv)
     return any(_stmt_mentions(stmt, iv.name) for stmt in body[nest + 1 :])
+
+
+def _nest_index(body: list[Stmt], iv: InductionVariable) -> int:
+    return next(i for i, stmt in enumerate(body) if stmt is iv.loops[0])
 
 
 def _stmt_mentions(stmt: Stmt, name: str) -> bool:
     if isinstance(stmt, Assignment):
-        return name in (_expr_names(stmt.lhs) | _expr_names(stmt.rhs))
+        return name in stmt.lhs.names() or name in stmt.rhs.names()
     if isinstance(stmt, CallStmt):
-        return any(name in _expr_names(a) for a in stmt.args)
+        return any(name in a.names() for a in stmt.args)
     if isinstance(stmt, If):
-        if name in _expr_names(stmt.cond):
+        if name in stmt.cond.names():
             return True
         return any(
             _stmt_mentions(s, name)
             for s in (*stmt.then_body, *stmt.else_body)
         )
     if isinstance(stmt, Loop):
-        if name in (_expr_names(stmt.lower) | _expr_names(stmt.upper)):
+        if name in stmt.lower.names() or name in stmt.upper.names():
             return True
         return any(_stmt_mentions(s, name) for s in stmt.body)
     return False
@@ -239,7 +250,3 @@ def _scalar_assignment_counts(program: Program) -> dict[str, int]:
         if isinstance(stmt.lhs, Name):
             counts[stmt.lhs.name] = counts.get(stmt.lhs.name, 0) + 1
     return counts
-
-
-def _expr_names(expr: Expr) -> set[str]:
-    return expr.names()

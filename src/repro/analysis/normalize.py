@@ -20,12 +20,10 @@ from __future__ import annotations
 from ..ir import (
     BinOp,
     Expr,
-    If,
     IntLit,
     Loop,
     Name,
     Program,
-    Stmt,
     rewrite_statements,
     substitute_name,
     summarize,
@@ -105,27 +103,16 @@ def rectangular_bounds(program: Program) -> dict[str, Poly]:
     summary = summarize(program)
     if summary.bounds is None:
         summary.bounds = {}
-        _collect_bounds(program.body, [], summary.bounds)
+        of_loop: dict[int, Poly] = {}  # each loop's bound, by identity
+        for entry in summary.loop_table.entries:
+            loop = entry.loop
+            outer = [(o.var, of_loop[id(o)]) for o in entry.outer]
+            upper = _maximize(loop.upper, outer, loop.var)
+            known = summary.bounds.get(loop.var)
+            if known is not None and known != upper:
+                upper = _loosen(known, upper, loop.var)
+            summary.bounds[loop.var] = of_loop[id(loop)] = upper
     return dict(summary.bounds)
-
-
-def _collect_bounds(
-    stmts: list[Stmt],
-    outer: list[tuple[str, Poly]],
-    bounds: dict[str, Poly],
-) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, If):
-            _collect_bounds(stmt.then_body, outer, bounds)
-            _collect_bounds(stmt.else_body, outer, bounds)
-            continue
-        if not isinstance(stmt, Loop):
-            continue
-        upper = _maximize(stmt.upper, outer, stmt.var)
-        if stmt.var in bounds and bounds[stmt.var] != upper:
-            upper = _loosen(bounds[stmt.var], upper, stmt.var)
-        bounds[stmt.var] = upper
-        _collect_bounds(stmt.body, outer + [(stmt.var, upper)], bounds)
 
 
 def _maximize(

@@ -29,9 +29,8 @@ Two safety rules keep cached answers indistinguishable from fresh ones:
   (replaying a cached answer would skip injection sites and perturb every
   downstream hit counter, breaking seeded determinism).
 
-This module is also the registry behind :func:`clear_all`, which resets
-every process-lifetime cache in the package (this one, ``poly_gcd``'s LRU,
-and any memo registered via :func:`register_cache`) so long-lived worker
+:func:`clear_all` resets the two process-lifetime memos of the package
+(the default problem cache and ``poly_gcd``'s LRU) so long-lived worker
 processes can be wrung dry between corpora.
 """
 
@@ -44,6 +43,7 @@ from typing import Callable
 from ..deptests.problem import DependenceProblem, Verdict
 from ..dirvec.vectors import DirVec
 from ..symbolic import Poly
+from ..symbolic.poly import _poly_gcd_cached
 from . import chaos
 from .delinearize import DelinearizationResult, delinearize
 
@@ -203,12 +203,9 @@ class ProblemCache:
         self.stats = CacheStats()
 
 
-# -- process-wide default cache and the clear_all registry -----------------
+# -- process-wide memos ---------------------------------------------------
 
 _DEFAULT_CACHE = ProblemCache()
-
-#: Zero-argument callables that drop some process-lifetime memo.
-_CLEARABLE: list[Callable[[], None]] = []
 
 
 def default_cache() -> ProblemCache:
@@ -216,34 +213,15 @@ def default_cache() -> ProblemCache:
     return _DEFAULT_CACHE
 
 
-def register_cache(clear: Callable[[], None]) -> Callable[[], None]:
-    """Register a clearing callable with :func:`clear_all`; returns it."""
-    _CLEARABLE.append(clear)
-    return clear
-
-
 def clear_all() -> None:
-    """Reset every process-lifetime cache in the package.
-
-    Covers the default problem cache, ``poly_gcd``'s bounded LRU, the
-    memoized theorem suffix-GCDs reachable from here, and anything else
-    registered via :func:`register_cache`.  Long-lived worker processes
-    call this between corpora so memory stays flat.
-    """
+    """Reset every process-lifetime memo in the package: the default
+    problem cache and ``poly_gcd``'s bounded LRU.  Long-lived worker
+    processes call this between corpora so memory stays flat."""
     _DEFAULT_CACHE.clear()
-    for clear in _CLEARABLE:
-        clear()
+    _poly_gcd_cached.cache_clear()
 
 
 # -- the memoized solver entry point ---------------------------------------
-
-
-# poly_gcd's bounded LRU (symbolic/poly.py) is the one other process-wide
-# memo in the package; registered here rather than in poly.py to keep the
-# symbolic layer free of core imports.
-from ..symbolic.poly import _poly_gcd_cached  # noqa: E402
-
-register_cache(_poly_gcd_cached.cache_clear)
 
 
 def cached_delinearize(

@@ -45,7 +45,7 @@ from .nodes import (
 from .interp import InterpreterError, Store, run_program
 from .pprint import format_program, format_statements
 from .span import Span
-from .summary import collect_refs, scalar_conflicts, summarize
+from .summary import collect_refs, loop_table, scalar_conflicts, summarize
 
 __all__ = [
     "ArrayDecl",
@@ -79,6 +79,7 @@ __all__ = [
     "format_program",
     "format_statements",
     "has_control_flow",
+    "loop_table",
     "map_expr",
     "mutually_exclusive",
     "rewrite_statements",

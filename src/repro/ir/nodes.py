@@ -261,15 +261,7 @@ class Program:
     ) -> Iterator[tuple["Assignment | CallStmt", tuple[Loop, ...]]]:
         """Yield every assignment/call with its enclosing loop tuple, in
         order (recursing through IF branches)."""
-        for stmt, loops, _ in _walk(self.body, (), ()):
-            yield stmt, loops
-
-    def walk_statements_guarded(
-        self,
-    ) -> Iterator[tuple["Assignment | CallStmt", tuple[Loop, ...], tuple[Guard, ...]]]:
-        """Like :meth:`walk_statements`, additionally yielding the stack of
-        IF-branch guards enclosing each statement."""
-        yield from _walk(self.body, (), ())
+        yield from _walk(self.body, ())
 
     def assignments(self) -> list[Assignment]:
         return [
@@ -283,19 +275,6 @@ class Program:
         for index, (stmt, _) in enumerate(self.walk_statements(), start=1):
             stmt.label = f"{prefix}{index}"
 
-    def loop_variables(self) -> set[str]:
-        out: set[str] = set()
-        stack = list(self.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Loop):
-                out.add(node.var)
-                stack.extend(node.body)
-            elif isinstance(node, If):
-                stack.extend(node.then_body)
-                stack.extend(node.else_body)
-        return out
-
     def statement(self, label: str) -> "Assignment | CallStmt":
         for stmt, _ in self.walk_statements():
             if stmt.label == label:
@@ -304,22 +283,16 @@ class Program:
 
 
 def _walk(
-    stmts: Sequence[Stmt], loops: tuple[Loop, ...], guards: tuple[Guard, ...]
-) -> Iterator[tuple["Assignment | CallStmt", tuple[Loop, ...], tuple[Guard, ...]]]:
+    stmts: Sequence[Stmt], loops: tuple[Loop, ...]
+) -> Iterator[tuple["Assignment | CallStmt", tuple[Loop, ...]]]:
     for stmt in stmts:
-        if isinstance(stmt, Assignment):
-            yield stmt, loops, guards
-        elif isinstance(stmt, CallStmt):
-            yield stmt, loops, guards
+        if isinstance(stmt, (Assignment, CallStmt)):
+            yield stmt, loops
         elif isinstance(stmt, Loop):
-            yield from _walk(stmt.body, loops + (stmt,), guards)
+            yield from _walk(stmt.body, loops + (stmt,))
         elif isinstance(stmt, If):
-            yield from _walk(
-                stmt.then_body, loops, guards + (Guard(stmt, True),)
-            )
-            yield from _walk(
-                stmt.else_body, loops, guards + (Guard(stmt, False),)
-            )
+            yield from _walk(stmt.then_body, loops)
+            yield from _walk(stmt.else_body, loops)
         else:
             raise TypeError(f"unknown statement {type(stmt).__name__}")
 

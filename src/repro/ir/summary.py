@@ -7,6 +7,12 @@ dataflow and interval passes, pair construction, the scalar conflicts and
 the emitter read the result instead of walking expression trees.  It is
 kept on the program object, so it dies with the program.
 
+The same walk makes the program's loop table (:class:`LoopTable`): each
+loop with its enclosing loops and the scalars its body assigns, which the
+rectangularized bounds (Section 2), the loop checks, the invariance passes
+and induction-variable recognition read.  :func:`loop_table` makes one
+for a bare statement list without lowering anything.
+
 A CALL's references are filled in by interprocedural resolution
 (:attr:`~repro.ir.nodes.CallStmt.resolved_refs`) after some passes have
 read the program, so a CALL's summary is remade whenever that list is not
@@ -20,7 +26,7 @@ from typing import Iterator
 
 from .affine import to_linexpr
 from .expr import ArrayRef, Deref, Expr, Name
-from .nodes import Assignment, CallStmt, Guard, Loop, Program, RefContext
+from .nodes import Assignment, CallStmt, Guard, If, Loop, Program, RefContext, Stmt
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,15 +49,49 @@ class StmtSummary:
     resolved: list | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class LoopSummary:
+    """One loop in its nest."""
+
+    loop: Loop
+    #: The enclosing loops, outermost first.
+    outer: tuple[Loop, ...]
+    #: Scalars the body assigns: assignment targets, the variables of
+    #: nested loops and every name passed to a CALL (the callee may
+    #: assign it).
+    assigned: frozenset[str]
+
+
+class LoopTable:
+    """Every loop of a statement list, in textual pre-order through IF
+    arms, and what the whole list assigns."""
+
+    def __init__(self, entries: list[LoopSummary], assigned: set[str]):
+        self.entries = tuple(entries)
+        self._of = {id(entry.loop): entry for entry in entries}
+        #: Scalars the statement list assigns, loop variables included.
+        self.assigned = frozenset(assigned)
+        self.loop_vars = frozenset(entry.loop.var for entry in entries)
+
+    def of(self, loop: Loop) -> LoopSummary:
+        """The entry of one loop of the statement list."""
+        return self._of[id(loop)]
+
+
 class ProgramSummary:
-    """The summaries of a program's statements, in textual order."""
+    """The summaries of a program's statements, in textual order, and its
+    loop table."""
 
     def __init__(self, program: Program):
+        statements: list = []
+        entries: list = []
+        assigned = _walk(program.body, (), (), statements, entries)
         lowered: dict = {}
         self._of = {
             id(stmt): _summarize(stmt, loops, guards, lowered)
-            for stmt, loops, guards in program.walk_statements_guarded()
+            for stmt, loops, guards in statements
         }
+        self.loop_table = LoopTable(entries, assigned)
         #: The loops' rectangular bounds, made by the first
         #: :func:`repro.analysis.normalize.rectangular_bounds` call.
         self.bounds: dict | None = None
@@ -76,6 +116,13 @@ def summarize(program: Program) -> ProgramSummary:
     return program._summary
 
 
+def loop_table(stmts: list[Stmt]) -> LoopTable:
+    """The loop table of a statement list, made without lowering anything."""
+    entries: list = []
+    assigned = _walk(stmts, (), (), [], entries)
+    return LoopTable(entries, assigned)
+
+
 def collect_refs(program: Program, array: str | None = None) -> list[RefContext]:
     """All array references of a program (optionally of one array), in order."""
     return [
@@ -96,9 +143,10 @@ def scalar_conflicts(
     arrays are not scalars here), so codegen and the schedule verifier that
     checks it derive the same conflicts independently.  A CALL only writes.
     """
-    not_scalars = set(program.decls) | program.loop_variables()
+    summaries = summarize(program)
+    not_scalars = set(program.decls) | summaries.loop_table.loop_vars
     touched: dict[str, list[tuple[StmtSummary, bool]]] = {}
-    for summary in summarize(program).statements:
+    for summary in summaries.statements:
         if isinstance(summary.stmt, CallStmt):
             accesses = [
                 (name, True) for name in summary.writes if name not in not_scalars
@@ -121,6 +169,47 @@ def scalar_conflicts(
 
 
 # -- building ------------------------------------------------------------------
+
+
+def _walk(
+    stmts: list[Stmt],
+    loops: tuple[Loop, ...],
+    guards: tuple[Guard, ...],
+    statements: list,
+    entries: list,
+) -> set[str]:
+    """Add each statement of ``stmts`` with its loops and guards to
+    ``statements``, and each loop's entry to ``entries``, both in textual
+    pre-order; return the scalars ``stmts`` assign."""
+    assigned: set[str] = set()
+    for stmt in stmts:
+        if isinstance(stmt, Loop):
+            index = len(entries)
+            entries.append(None)  # placed before the entries of inner loops
+            body = _walk(stmt.body, loops + (stmt,), guards, statements, entries)
+            entries[index] = LoopSummary(stmt, loops, frozenset(body))
+            assigned |= body
+            assigned.add(stmt.var)
+        elif isinstance(stmt, If):
+            for branch, arm in ((True, stmt.then_body), (False, stmt.else_body)):
+                arm_guards = guards + (Guard(stmt, branch),)
+                assigned |= _walk(arm, loops, arm_guards, statements, entries)
+        elif isinstance(stmt, (Assignment, CallStmt)):
+            statements.append((stmt, loops, guards))
+            assigned.update(_writes(stmt))
+        else:
+            raise TypeError(f"unknown statement {type(stmt).__name__}")
+    return assigned
+
+
+def _writes(stmt: Assignment | CallStmt) -> tuple[str, ...]:
+    """The scalars a statement writes: an assignment's named target, or
+    every name passed to a CALL."""
+    if isinstance(stmt, CallStmt):
+        return tuple(arg.name for arg in stmt.args if isinstance(arg, Name))
+    return (stmt.lhs.name,) if isinstance(stmt.lhs, Name) else ()
+
+
 #
 # ``lowered`` holds one program's subscripts lowered in their nests, keyed
 # by the subscript's and the innermost loop's ids.
@@ -138,13 +227,11 @@ def _summarize(
     if isinstance(stmt, CallStmt):
         for arg in stmt.args:
             _scan(arg, [], reads, bare)
-        writes = tuple(arg.name for arg in stmt.args if isinstance(arg, Name))
         for ref, is_write in stmt.resolved_refs or ():
             names = _subscript_names(ref, [], set())
             refs.append([ref, is_write, names])
     else:
         lhs = stmt.lhs
-        writes = (lhs.name,) if isinstance(lhs, Name) else ()
         if isinstance(lhs, ArrayRef):
             refs.append([lhs, True, ()])
         _scan(stmt.rhs, refs, reads, bare)
@@ -170,7 +257,7 @@ def _summarize(
     resolved = stmt.resolved_refs if isinstance(stmt, CallStmt) else None
     return StmtSummary(
         stmt, loops, guards, tuple(contexts), frozenset(reads),
-        frozenset(bare), writes, resolved,
+        frozenset(bare), _writes(stmt), resolved,
     )
 
 

@@ -313,31 +313,6 @@ def reaching_definitions(program: Program, cfg: CFG | None = None) -> ReachingDe
 # -- invariance classification ------------------------------------------------
 
 
-def assigned_scalars(stmts: list[Stmt]) -> set[str]:
-    """Scalars assigned (or used as a loop variable) within a statement list.
-
-    Scalars passed by name to a CALL count as assigned: the callee may
-    mutate them, and "possibly mutated" must be treated as mutated here.
-    """
-    out: set[str] = set()
-    stack = list(stmts)
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, Loop):
-            out.add(stmt.var)
-            stack.extend(stmt.body)
-        elif isinstance(stmt, Assignment) and isinstance(stmt.lhs, Name):
-            out.add(stmt.lhs.name)
-        elif isinstance(stmt, If):
-            stack.extend(stmt.then_body)
-            stack.extend(stmt.else_body)
-        elif isinstance(stmt, CallStmt):
-            out |= {
-                arg.name for arg in stmt.args if isinstance(arg, Name)
-            }
-    return out
-
-
 def invariant_symbols(program: Program) -> set[str]:
     """Symbols proven invariant over the whole program.
 
@@ -346,14 +321,15 @@ def invariant_symbols(program: Program) -> set[str]:
     symbols are safe to constrain in :class:`repro.symbolic.Assumptions` and
     to use as symbolic coefficients.
     """
+    summaries = summarize(program)
     mentioned: set[str] = set()
-    for summary in summarize(program).statements:
+    for summary in summaries.statements:
         mentioned |= summary.reads
         for loop in summary.loops:
             mentioned |= _bound_names(loop)
         for guard in summary.guards:
             mentioned |= guard.cond.names()
-    return mentioned - assigned_scalars(program.body) - set(program.decls)
+    return mentioned - summaries.loop_table.assigned - set(program.decls)
 
 
 # -- diagnostic passes --------------------------------------------------------
@@ -398,13 +374,14 @@ def check_subscript_invariance(program: Program) -> list[Diagnostic]:
     (Induction variables should be substituted away before this check.)
     """
     arrays = set(program.decls)
+    summaries = summarize(program)
     diags: list[Diagnostic] = []
-    for summary in summarize(program).statements:
+    for summary in summaries.statements:
         loops, stmt = summary.loops, summary.stmt
         if not loops:
             continue
         # Every enclosing loop's body lies inside the outermost one's.
-        mutated = assigned_scalars(loops[0].body) - arrays
+        mutated = summaries.loop_table.of(loops[0]).assigned - arrays
         mutated -= {loop.var for loop in loops}
         if not mutated:
             continue
@@ -426,25 +403,13 @@ def check_subscript_invariance(program: Program) -> list[Diagnostic]:
 def check_bound_invariance(program: Program) -> list[Diagnostic]:
     """``DF003``: a loop bound reads a scalar that the loop body modifies."""
     diags: list[Diagnostic] = []
-    _bound_invariance(program.body, diags)
-    return diags
-
-
-def _bound_invariance(stmts: list[Stmt], diags: list[Diagnostic]) -> None:
-    """DF003 for the loops of one statement list, outside-in.  (Not a
-    closure: a recursive closure is a reference cycle that would keep the
-    diagnostics alive until the next collection.)"""
-    for stmt in stmts:
-        if isinstance(stmt, If):
-            _bound_invariance(stmt.then_body, diags)
-            _bound_invariance(stmt.else_body, diags)
-        if not isinstance(stmt, Loop):
-            continue
-        mutated = assigned_scalars(stmt.body) - {stmt.var}
+    for entry in summarize(program).loop_table.entries:
+        loop = entry.loop
+        mutated = entry.assigned - {loop.var}
         for which, expr in (
-            ("lower", stmt.lower),
-            ("upper", stmt.upper),
-            ("step", stmt.step),
+            ("lower", loop.lower),
+            ("upper", loop.upper),
+            ("step", loop.step),
         ):
             bad = sorted(
                 n.name
@@ -455,12 +420,12 @@ def _bound_invariance(stmts: list[Stmt], diags: list[Diagnostic]) -> None:
                 diags.append(
                     Diagnostic.make(
                         codes.DF003,
-                        f"{which} bound of loop {stmt.var} reads {name}, "
+                        f"{which} bound of loop {loop.var} reads {name}, "
                         f"which the loop body modifies",
-                        span=stmt.span,
+                        span=loop.span,
                     )
                 )
-        _bound_invariance(stmt.body, diags)
+    return diags
 
 
 def check_assumption_invariance(
@@ -472,7 +437,7 @@ def check_assumption_invariance(
     parameter of the program; constraining a scalar the program assigns (or a
     loop variable) would let the dependence tests use stale facts.
     """
-    mutated = assumption_symbols & assigned_scalars(program.body)
+    mutated = assumption_symbols & summarize(program).loop_table.assigned
     return [
         Diagnostic.make(
             codes.DF004,

@@ -67,7 +67,6 @@ from .dataflow import (
     CFG,
     CFGNode,
     _scalar_reads,
-    assigned_scalars,
     build_cfg,
     incoming_state,
     solve,
@@ -585,8 +584,8 @@ def _derive(
         result = analysis._declared.get(_base_key(assumptions))
     if result is None:
         result = declared_bound_assumptions(program, assumptions)
-    loop_vars = program.loop_variables()
-    for name in sorted(assigned_scalars(program.body) - loop_vars):
+    table = summarize(program).loop_table
+    for name in sorted(table.assigned - table.loop_vars):
         hull = analysis.read_hull(name)
         if hull.is_top():
             continue

@@ -207,21 +207,32 @@ def _codegen(
         group = [by_label[label] for label in component]
         deepest_common = min(len(loops) for _, loops in group)
         if level > deepest_common:
-            # No shared loop left to serialize: each statement stays fully
-            # serial inside its own remaining loops (which must appear in
-            # the schedule tree, or execution would skip them).  Textual
-            # order is safe: the only constraints left between group
-            # members are same-instance orderings — every shared level is
-            # already serialized, and no deeper level is shared.
+            # No loop at this level encloses every member: each statement
+            # stays fully serial inside its remaining loops (which must
+            # appear in the schedule tree, or execution would skip them),
+            # in textual order, and members that share a loop share its
+            # node, so the original order of their instances is kept.
+            open_loops: list[ScheduleNode] = []  # outermost first
             for stmt, loops in group:
                 entry = VectorLoop(
                     stmt, loops, tuple(range(1, len(loops) + 1)), ()
                 )
                 result.plan.append(entry)
-                node: ScheduleNode = ("stmt", entry)
-                for inner in range(len(loops), level - 1, -1):
-                    node = ("loop", loops[inner - 1], inner, [node])
-                out.append(node)
+                inner = loops[level - 1 :]
+                depth = 0
+                while (
+                    depth < min(len(open_loops), len(inner))
+                    and open_loops[depth][1] is inner[depth]
+                ):
+                    depth += 1
+                del open_loops[depth:]
+                children = open_loops[-1][3] if open_loops else out
+                for loop in inner[depth:]:
+                    node = ("loop", loop, level + len(open_loops), [])
+                    children.append(node)
+                    open_loops.append(node)
+                    children = node[3]
+                children.append(("stmt", entry))
             continue
         shared_loop = group[0][1][level - 1]
         remaining = [

@@ -1,5 +1,7 @@
 """Tests for multi-loop induction variable recognition (BOAST example)."""
 
+import pytest
+
 from repro.analysis import (
     find_induction_variables,
     normalize_program,
@@ -181,3 +183,79 @@ class TestSubstitution:
         assert find_induction_variables(p)
         assert substitute_induction_variables(p) is p
         assert "induction-variables" not in compile_fortran(src).phases
+
+
+class TestNestInvariance:
+    """The closed form reads the init, the step and the inner trip counts
+    anywhere in the nest, so a variable whose init, step or inner bound
+    the nest changes is left as written (and lint flags it)."""
+
+    PROGRAMS = {
+        "step reads a scalar the nest assigns": (
+            "REAL A(0:200)\nM = 0\nIB = 0\nDO i = 0, 9\nM = M + 1\n"
+            "IB = IB + M\nA(IB) = i\nENDDO\n"
+        ),
+        "step reads the loop variable": (
+            "REAL A(0:200)\nIB = 0\nDO i = 0, 9\nIB = IB + i\n"
+            "A(IB) = i + 1\nENDDO\n"
+        ),
+        "init reads a scalar the nest assigns": (
+            "REAL A(0:200)\nM = 3\nIB = M\nDO i = 0, 9\nM = 50\n"
+            "IB = IB + 1\nA(IB) = i + 1\nENDDO\n"
+        ),
+        "triangular nest": (
+            "REAL A(0:200)\nIB = -1\nDO i = 0, 4\nDO j = 0, i\n"
+            "IB = IB + 1\nA(IB) = i + 1\nENDDO\nENDDO\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("source", PROGRAMS.values(), ids=PROGRAMS.keys())
+    def test_not_recognized(self, source):
+        p = normalize_program(parse_fortran(source))
+        assert find_induction_variables(p) == []
+        assert substitute_induction_variables(p) is p
+
+    @pytest.mark.parametrize("source", PROGRAMS.values(), ids=PROGRAMS.keys())
+    def test_compiled_schedule_matches_serial(self, source):
+        from repro.driver import compile_fortran
+        from repro.ir import run_program
+        from repro.vectorizer import run_schedule
+
+        serial = run_program(parse_fortran(source)).snapshot()
+        assert run_schedule(compile_fortran(source).plan).snapshot() == serial
+
+    @pytest.mark.parametrize("source", PROGRAMS.values(), ids=PROGRAMS.keys())
+    def test_lint_flags_the_variable(self, source):
+        from repro.lint import codes
+        from repro.lint.engine import lint_source
+
+        assert any(
+            d.code == codes.DF002 and "uses IB," in d.message
+            for d in lint_source(source).diagnostics
+        )
+
+    def test_symbolic_init_step_and_bounds_are_substituted(self):
+        src = (
+            "IB = N\nDO i = 0, M\nDO j = 0, K\nIB = IB + S\nA(IB) = 1\n"
+            "ENDDO\nENDDO\n"
+        )
+        p = normalize_program(parse_fortran(src))
+        assert "IB" not in format_program(substitute_induction_variables(p))
+
+    def test_recognized_once_and_nothing_mutated(self, monkeypatch):
+        from repro.analysis import induction
+
+        calls = []
+        real = induction.find_induction_variables
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(induction, "find_induction_variables", counting)
+        p = normalize_program(parse_fortran(BOAST))
+        before = format_program(p)
+        rewritten = substitute_induction_variables(p)
+        assert calls == [p]
+        assert format_program(p) == before
+        assert rewritten is not p and "IB" not in format_program(rewritten)

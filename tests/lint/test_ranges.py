@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.analysis import normalize_program
 from repro.corpus.generator import generate_program
 from repro.frontend import parse_fortran
-from repro.ir import Assignment, BinOp, IntLit, Loop, Name, Program
+from repro.ir import Assignment, BinOp, IntLit, Loop, Name, Program, summarize
 from repro.ir.interp import eval_expr, execute_assignment, Store
 from repro.lint import ranges
-from repro.lint.dataflow import _scalar_reads, assigned_scalars, build_cfg
+from repro.lint.dataflow import _scalar_reads, build_cfg
 from repro.lint.ranges import (
     TOP,
     Interval,
@@ -603,7 +603,7 @@ class TestLinearPasses:
             program, declared_bound_assumptions(program)
         )
         arrays = set(program.decls)
-        names = {"NEVER_READ"} | assigned_scalars(program.body)
+        names = {"NEVER_READ"} | summarize(program).loop_table.assigned
         for node in analysis.cfg.nodes:
             names |= _scalar_reads(node, arrays)
         for scalar in sorted(names):

@@ -161,3 +161,24 @@ class TestScalars:
         result = plan_for("X = 1\n")
         assert len(result.plan) == 1
         assert "X = 1" in emit_program(result)
+
+    def test_serial_statements_sharing_an_inner_loop_stay_in_it(self):
+        # M couples S3 (in the I loop only) with S4 and S5 (in the J
+        # loop), so below level 1 no loop encloses the whole cycle; S4 and
+        # S5 still share the J loop and must stay interleaved in it.
+        from repro.ir import run_program
+        from repro.lint.schedule import verify_schedule
+        from repro.vectorizer import run_schedule
+
+        src = (
+            "REAL A(0:299)\nM = 2\nIB = 0\nDO i = 0, 1\nM = M + 1\n"
+            "DO j = 0, 2\nIB = IB + M\nA(IB) = A(IB) + 1\nENDDO\nENDDO\n"
+        )
+        graph = analyze_dependences(parse_fortran(src))
+        result = vectorize(graph)
+        assert emit_program(result).count("DO j") == 1
+        assert not [
+            d for d in verify_schedule(result, graph) if d.severity == "error"
+        ]
+        expected = run_program(parse_fortran(src)).snapshot()
+        assert run_schedule(result).snapshot() == expected

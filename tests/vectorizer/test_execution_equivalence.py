@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import normalize_program
 from repro.depgraph import analyze_dependences
+from repro.driver import compile_fortran
 from repro.frontend import parse_fortran
 from repro.ir import run_program
 from repro.vectorizer import run_schedule, vectorize
@@ -95,6 +96,47 @@ def test_interchange_execution_equivalence(source):
     assert run_program(program).snapshot() == run_program(swapped).snapshot(), (
         source
     )
+
+
+@st.composite
+def induction_nests(draw):
+    """A two-deep nest around the update ``IB = IB + step``.
+
+    The init and the step read a constant, the symbol ``N``, a loop
+    variable or ``M``, which the nest may assign; the inner loop's bound
+    may read the outer loop variable.  Only some of these have a closed
+    form, and the compiled schedule must match the serial run either way.
+    """
+    init = draw(st.sampled_from(["0", "-1", "N", "M", "i", "M + 1"]))
+    step = draw(st.sampled_from(["1", "2", "N", "M", "i", "j", "i + 1"]))
+    inner = draw(st.sampled_from(["2", "N - 1", "i", "i + 1"]))
+    assign_m = draw(st.sampled_from(["", "M = M + 1", "M = i"]))
+    lines = [
+        "REAL A(0:299), B(0:299)",
+        "M = 2",
+        "i = 1",
+        f"IB = {init}",
+        f"DO i = 0, {draw(st.integers(1, 3))}",
+        assign_m,
+        f"DO j = 0, {inner}",
+        "IB = IB + " + step,
+        f"A(IB) = A(IB) + {draw(st.integers(1, 5))}",
+        "B(j) = A(IB + 1)" if draw(st.booleans()) else "",
+        "ENDDO",
+        "ENDDO",
+    ]
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+@given(induction_nests())
+@settings(max_examples=60, deadline=None)
+def test_induction_nests_compile_to_the_serial_result(source):
+    """Substitution replaces the variable by a closed form that holds only
+    when its init, step and inner trip counts are invariant in the nest."""
+    env = {"N": 3}
+    serial = run_program(parse_fortran(source), env)
+    plan = compile_fortran(source).plan
+    assert run_schedule(plan, env).snapshot() == serial.snapshot(), source
 
 
 def test_known_dependent_case_still_matches():
