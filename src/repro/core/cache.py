@@ -19,6 +19,15 @@ Figure-5 trace the audit reads is never stored.  An entry stored by an
 unaudited solve has no findings: an audited lookup counts it as a miss,
 re-solves with a trace, audits and upgrades the entry.
 
+Below the problem key sits the Figure-4 scan's split-case memo.  Problems
+that differ only in their constant form one *equation family* (one scan
+order in one context), and a case tree depends on the constant only
+through what keys the memo, so the family shares one memo
+(:meth:`ProblemCache.family`).  It changes no answer, hit or miss (a
+member that reuses cases charges its budget less, as a hit does); it is
+bounded, cleared and bypassed with the problem entries, and a solve that
+raises takes back what it added.
+
 Two safety rules keep cached answers indistinguishable from fresh ones:
 
 * a result is stored only after a fully successful solve and audit —
@@ -30,7 +39,8 @@ Two safety rules keep cached answers indistinguishable from fresh ones:
   downstream hit counter, breaking seeded determinism).
 
 :func:`clear_all` resets the two process-lifetime memos of the package
-(the default problem cache and ``poly_gcd``'s LRU) so long-lived worker
+(the default problem cache with its family memos, and ``poly_gcd``'s LRU)
+so long-lived worker
 processes can be wrung dry between corpora.
 """
 
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..deptests.problem import DependenceProblem, Verdict
@@ -45,7 +56,7 @@ from ..dirvec.vectors import DirVec
 from ..symbolic import Poly
 from ..symbolic.poly import _poly_gcd_cached
 from . import chaos
-from .delinearize import DelinearizationResult, delinearize
+from .delinearize import CaseMemo, DelinearizationResult, delinearize
 
 #: Default capacity of the in-memory LRU.  Entries are small (a verdict, a
 #: handful of direction vectors, a few distance polynomials); real corpora
@@ -163,7 +174,9 @@ class CacheStats:
 
 
 class ProblemCache:
-    """An LRU of :func:`problem_key` keys -> :class:`CachedOutcome` with counters."""
+    """An LRU of :func:`problem_key` keys -> :class:`CachedOutcome` with
+    counters, and beside it an LRU of the same size holding each equation
+    family's split-case memo (:meth:`family`)."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
@@ -171,6 +184,7 @@ class ProblemCache:
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._data: OrderedDict[tuple, CachedOutcome] = OrderedDict()
+        self._families: OrderedDict[tuple, CaseMemo] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -198,9 +212,37 @@ class ProblemCache:
             self._data.popitem(last=False)
             self.stats.evictions += 1
 
+    def family(self, context: tuple, order: list) -> CaseMemo:
+        """The case memo shared by every problem whose scan runs in
+        ``order`` (its ``(name, coeff, upper)`` entries) in ``context``:
+        the problem key without its equations, and whether a trace is
+        kept.  Outside :attr:`stats`: the memo sits below the problem key
+        and changes no hit or miss."""
+        key = (context, tuple(_order_key(order)))
+        memo = self._families.get(key)
+        if memo is None:
+            memo = self._families[key] = CaseMemo()
+            if len(self._families) > self.maxsize:
+                self._families.popitem(last=False)
+        else:
+            self._families.move_to_end(key)
+        return memo
+
     def clear(self) -> None:
         self._data.clear()
+        self._families.clear()
         self.stats = CacheStats()
+
+
+def _order_key(order: list):
+    """A scan order as plain tuples: an int scan's entries as they are,
+    a symbolic scan's polynomials as their terms."""
+    for entry in order:
+        name, coeff, upper = entry
+        if isinstance(coeff, int):
+            yield entry
+        else:
+            yield name, _poly_key(coeff), _poly_key(upper)
 
 
 # -- process-wide memos ---------------------------------------------------
@@ -215,7 +257,8 @@ def default_cache() -> ProblemCache:
 
 def clear_all() -> None:
     """Reset every process-lifetime memo in the package: the default
-    problem cache and ``poly_gcd``'s bounded LRU.  Long-lived worker
+    problem cache (family case memos included) and ``poly_gcd``'s bounded
+    LRU.  Long-lived worker
     processes call this between corpora so memory stays flat."""
     _DEFAULT_CACHE.clear()
     _poly_gcd_cached.cache_clear()
@@ -244,16 +287,20 @@ def cached_delinearize(
     a hit it gets the rebuilt result, whose ``findings`` hold the stored
     findings to relabel; there is no trace to audit.
     """
-    key = None
+    key = families = None
+    keep_trace = audit is not None
     if cache is not None and chaos.active_state() is None:
         key = problem_key(problem)
-        entry = cache.lookup(key, audited=audit is not None)
+        entry = cache.lookup(key, audited=keep_trace)
         if entry is not None:
             result = entry.to_result()
             if audit is not None:
                 audit(problem, result)
             return result
-    result = delinearize(problem, keep_trace=audit is not None, budget=budget)
+        families = partial(cache.family, (key[1:], keep_trace))
+    result = delinearize(
+        problem, keep_trace=keep_trace, budget=budget, families=families
+    )
     findings = None if audit is None else audit(problem, result)
     if key is not None:
         cache.store(key, CachedOutcome.of(result, findings))

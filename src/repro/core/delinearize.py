@@ -139,11 +139,30 @@ class DelinearizationResult:
         return "\n".join(str(row) for row in self.trace)
 
 
+@dataclass
+class CaseMemo:
+    """Split-case work, keyed by what determines it: head solutions by head
+    equation, continuations by ``(step, constant, depth)``.  Different cases
+    reach the same rest, and so do problems of one equation family (see
+    :class:`_Scan`)."""
+
+    heads: dict[LinExpr, GroupSolution] = field(default_factory=dict)
+    rests: dict[tuple[int, int, int], DelinearizationResult] = field(
+        default_factory=dict
+    )
+
+
+#: Finds the case memo of a scan order's equation family.
+Families = Callable[[list], CaseMemo]
+
+
 def delinearize(
     problem: DependenceProblem,
     sort_coefficients: bool = True,
     keep_trace: bool = False,
     budget: Budget | None = None,
+    *,
+    families: Families | None = None,
 ) -> DelinearizationResult:
     """Run the Figure-4 algorithm on every equation of ``problem``.
 
@@ -160,6 +179,11 @@ def delinearize(
     :exc:`~repro.core.resilience.BudgetExhausted`, which the per-pair
     barrier in :mod:`repro.depgraph.builder` turns into a conservative
     assumed dependence.
+
+    ``families`` maps a scan order to its family's shared
+    :class:`CaseMemo` (:meth:`~repro.core.cache.ProblemCache.family`);
+    without it each equation keeps its own.  A scan that raises takes back
+    every entry it added to a shared memo.
     """
     chaos_point("delinearize.scan")
     empty = _empty_range(problem)
@@ -175,7 +199,7 @@ def delinearize(
     )
     for equation in problem.equations:
         result = _delinearize_equation(
-            equation, problem, sort_coefficients, keep_trace, budget
+            equation, problem, sort_coefficients, keep_trace, budget, families
         )
         combined.trace.extend(result.trace)
         combined.groups.extend(result.groups)
@@ -237,6 +261,17 @@ class _Scan:
     polynomials.  Only the arithmetic helpers (:func:`_admit`,
     :func:`_try_barrier`, :func:`_candidate_remainders`, :func:`_is_pos`,
     :func:`_is_neg` and :func:`_trace_row`) tell the two apart.
+
+    The case memo is per *equation family*: a scan order in one problem
+    context (the variables with their uppers, levels and sides, the common
+    levels, the intervals of the symbols, and whether a trace is kept).
+    Problems of one family differ only in their constant, and a case tree
+    depends on it only through the head values and the rests' constants,
+    which key the memo; so every problem of the family shares one.  On a
+    :class:`~repro.core.cache.ProblemCache` the family's memo lives on the
+    cache (``families``); otherwise each equation has its own.  Either way
+    it is found at the first head or rest lookup, so scans that never
+    split build no family key.
     """
 
     order: list
@@ -246,6 +281,8 @@ class _Scan:
     problem: DependenceProblem
     keep_trace: bool
     budget: Budget | None
+    #: Finds the family's memo on a cache; None: the equation's own memo.
+    families: Families | None = None
     #: Split nesting of the scan now running; trace rows record it.
     depth: int = 0
     #: False once a split was refused for its size: the rest of the
@@ -253,13 +290,11 @@ class _Scan:
     splitting: bool = True
     #: Scan positions of the two variables of each level pair present.
     pair_positions: list[tuple[int, int]] | None = None
-    #: Case work already done, keyed by what determines it: head solutions
-    #: by equation, continuations by ``(step, constant, depth)``.  Different
-    #: cases reach the same rest.
-    heads: dict[LinExpr, GroupSolution] = field(default_factory=dict)
-    rests: dict[tuple[int, int, int], DelinearizationResult] = field(
-        default_factory=dict
-    )
+    #: The case memo, once looked up.
+    memo: CaseMemo | None = None
+    #: What this scan added to the memo, as (table, key), so that a scan
+    #: that raises can take it back.
+    stored: list[tuple[dict, object]] = field(default_factory=list)
 
 
 def _delinearize_equation(
@@ -268,6 +303,7 @@ def _delinearize_equation(
     sort_coefficients: bool,
     keep_trace: bool,
     budget: Budget | None = None,
+    families: Families | None = None,
 ) -> DelinearizationResult:
     order = [
         (name, coeff, problem.variables[name].upper)
@@ -296,8 +332,17 @@ def _delinearize_equation(
         suffix_gcd.append(acc)
     suffix_gcd.reverse()
 
-    scan = _Scan(order, suffix_gcd, constant, problem, keep_trace, budget)
-    return _scan(scan, c0, 0, 0)
+    scan = _Scan(
+        order, suffix_gcd, constant, problem, keep_trace, budget, families
+    )
+    try:
+        return _scan(scan, c0, 0, 0)
+    except BaseException:
+        # Budget exhaustion: what the scan stored may be complete, but no
+        # member of the family keeps work from a scan that gave up.
+        for table, key in scan.stored:
+            del table[key]
+        raise
 
 
 def _scan(
@@ -624,20 +669,32 @@ def _as_ints(*values: int | Poly | None) -> list[int] | None:
     return ints
 
 
+def _memo(scan: _Scan) -> CaseMemo:
+    """The scan's case memo: its family's, or its own without ``families``."""
+    if scan.memo is None:
+        families = scan.families
+        scan.memo = CaseMemo() if families is None else families(scan.order)
+    return scan.memo
+
+
 def _solve_head(scan: _Scan, head: LinExpr) -> GroupSolution:
-    solution = scan.heads.get(head)
+    heads = _memo(scan).heads
+    solution = heads.get(head)
     if solution is None:
         solution = solve_group(head, scan.problem, budget=scan.budget)
-        scan.heads[head] = solution
+        heads[head] = solution
+        scan.stored.append((heads, head))
     return solution
 
 
 def _resume(scan: _Scan, k: int, c0: int) -> DelinearizationResult:
     """The rest after step ``k`` with constant ``c0``, scanned once."""
     key = (k, c0, scan.depth)
-    case = scan.rests.get(key)
+    rests = _memo(scan).rests
+    case = rests.get(key)
     if case is None:
-        case = scan.rests[key] = _scan(scan, scan.constant(c0), k, k + 1)
+        case = rests[key] = _scan(scan, scan.constant(c0), k, k + 1)
+        scan.stored.append((rests, key))
     return case
 
 

@@ -6,8 +6,9 @@ loops, recognize multi-loop induction variables, the same for both
 languages and shared with ``repro lint``, ``repro check`` and the census),
 then linearize EQUIVALENCE and COMMON storage, build the dependence graph
 with delinearization, run Allen-Kennedy vectorization, statically verify
-the resulting schedule against the graph, and emit the transformed program
-— collecting a per-phase report along the way.
+the resulting schedule against the graph (a rejected schedule is replaced
+by the serial one), and emit the transformed program — collecting a
+per-phase report along the way.
 
 Every phase after parsing runs inside an exception barrier
 (:class:`repro.core.resilience.Barrier`): an internal error degrades the
@@ -110,9 +111,9 @@ class CompilationReport:
     plan: VectorizationResult
     output: str
     phases: list[str] = field(default_factory=list)
-    #: Schedule-verifier findings (``VR`` codes); populated when compiled
-    #: with ``verify=True`` (the default) and empty for a clean schedule
-    #: (advisory VR005 warnings aside).
+    #: Schedule-verifier findings (``VR`` codes) on the emitted schedule;
+    #: populated when compiled with ``verify=True`` (the default) and empty
+    #: for a clean schedule (advisory VR005 warnings aside).
     schedule_diagnostics: list[Diagnostic] = field(default_factory=list)
     #: Resilience findings (``RS`` codes): phases or dependence pairs that
     #: degraded to their conservative fallback instead of crashing.  Empty
@@ -293,6 +294,9 @@ def compile_fortran(
     array extents, loop ranges and interval analysis (user assumptions only).
     ``verify`` (on by default) runs the static schedule verifier over the
     vectorizer's output; findings appear in ``report.schedule_diagnostics``.
+    A schedule with an error-severity ``VR`` finding is never emitted: the
+    fully serial schedule is verified and emitted instead, and an ``RS003``
+    degradation names the rejected codes.
     ``strict=True`` re-raises internal errors instead of degrading phases
     conservatively (budget exhaustion still degrades — giving up on an
     oversized dependence system is a designed outcome, not a bug).
@@ -389,6 +393,24 @@ def _compile(
     schedule_diags: list[Diagnostic] = []
     if verify:
         schedule_diags = verify_plan(plan, graph, barrier)
+        rejected = sorted(
+            {
+                d.code
+                for d in schedule_diags
+                if d.severity == "error" and d.code.startswith("VR")
+            }
+        )
+        if rejected:
+            # Never emit a schedule the verifier rejects: the original
+            # serial order is legal whatever the graph missed.
+            barrier.note(
+                codes.RS003,
+                "vectorize",
+                f"schedule rejected by the verifier ({', '.join(rejected)}); "
+                "serial schedule emitted",
+            )
+            plan = serial_plan(program)
+            schedule_diags = verify_plan(plan, graph, barrier)
         phases.append("verify-schedule")
 
     output = barrier.run(

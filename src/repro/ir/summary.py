@@ -139,14 +139,16 @@ def scalar_conflicts(
     """Statement pairs touching one scalar, at least one of them writing it.
 
     Yields ``(a, a_writes, b, b_writes)`` with ``a`` at or before ``b`` in
-    textual order.  Read from the program text alone (loop variables and
-    arrays are not scalars here), so codegen and the schedule verifier that
-    checks it derive the same conflicts independently.  A CALL only writes.
+    textual order.  Read from the program text alone: arrays are not
+    scalars, nor are a statement's own enclosing loop variables, though
+    the same name may be a scalar in another nest.  A CALL only writes.
+    Codegen and the schedule verifier both call this function, so a
+    conflict it misses is missed by both.
     """
-    summaries = summarize(program)
-    not_scalars = set(program.decls) | summaries.loop_table.loop_vars
+    decls = set(program.decls)
     touched: dict[str, list[tuple[StmtSummary, bool]]] = {}
-    for summary in summaries.statements:
+    for summary in summarize(program).statements:
+        not_scalars = decls.union(loop.var for loop in summary.loops)
         if isinstance(summary.stmt, CallStmt):
             accesses = [
                 (name, True) for name in summary.writes if name not in not_scalars

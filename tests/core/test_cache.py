@@ -4,6 +4,7 @@ cache on, off, cold or warm, audited or not."""
 
 import gc
 import weakref
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,93 @@ class TestLRU:
         gc.collect()
         assert cache.stats.evictions == 3
         assert first() is None
+
+
+def three_level(const):
+    """``(i1-i2) + 8(j1-j2) + 64(k1-k2) + const = 0`` over ``[0, 7]``: the
+    scan splits, and every constant gives a member of one family."""
+    names = ("i1", "i2", "j1", "j2", "k1", "k2")
+    return DependenceProblem.single(
+        {"i1": 1, "i2": -1, "j1": 8, "j2": -8, "k1": 64, "k2": -64},
+        const,
+        {name: 7 for name in names},
+        pairs=[("i1", "i2"), ("j1", "j2"), ("k1", "k2")],
+    )
+
+
+class TestEquationFamilies:
+    """Problems that differ only in their constant share the scan's
+    split-case work through the cache, and nothing else does."""
+
+    @pytest.fixture
+    def groups_solved(self, monkeypatch):
+        scan_module = import_module("repro.core.delinearize")
+        solve = scan_module.solve_group
+        calls = []
+
+        def counted(equation, problem, budget=None):
+            calls.append(equation)
+            return solve(equation, problem, budget=budget)
+
+        monkeypatch.setattr(scan_module, "solve_group", counted)
+        return calls
+
+    def test_members_share_head_solutions(self, groups_solved):
+        cache = ProblemCache()
+        cached_delinearize(three_level(-10), cache=cache)
+        alone = len(groups_solved)
+        groups_solved.clear()
+        result = cached_delinearize(three_level(-11), cache=cache)
+        assert 0 < len(groups_solved) < alone
+        assert result_tuple(result) == result_tuple(delinearize(three_level(-11)))
+        # The problem key is unchanged: a new member is still a miss.
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda problem: delinearize(problem),
+            lambda problem: cached_delinearize(problem),
+        ],
+        ids=["delinearize", "no-cache"],
+    )
+    def test_without_a_cache_each_equation_keeps_its_own(
+        self, groups_solved, solve
+    ):
+        solve(three_level(-10))
+        alone = len(groups_solved)
+        groups_solved.clear()
+        solve(three_level(-11))
+        assert len(groups_solved) == alone
+
+    def test_chaos_active_shares_nothing(self, groups_solved):
+        cache = ProblemCache()
+        with chaos(1, rate=0.0):
+            cached_delinearize(three_level(-10), cache=cache)
+            alone = len(groups_solved)
+            groups_solved.clear()
+            cached_delinearize(three_level(-11), cache=cache)
+        assert len(groups_solved) == alone
+
+    def test_context_and_trace_separate_families(self):
+        cache = ProblemCache()
+        order = [("i1", 1, 7), ("i2", -1, 7)]
+        memo = cache.family(("context", False), order)
+        assert cache.family(("context", False), list(order)) is memo
+        assert cache.family(("context", True), order) is not memo
+        assert cache.family(("other", False), order) is not memo
+
+    def test_families_are_bounded_and_cleared_with_the_cache(self):
+        cache = ProblemCache(maxsize=2)
+        orders = [[("x", coeff, 7)] for coeff in (1, 2, 3)]
+        first = cache.family((), orders[0])
+        second = cache.family((), orders[1])
+        assert cache.family((), orders[0]) is first  # now the newest
+        cache.family((), orders[2])  # evicts ``second``
+        assert cache.family((), orders[0]) is first
+        assert cache.family((), orders[1]) is not second
+        cache.clear()
+        assert cache.family((), orders[0]) is not first
 
 
 class TestClearAll:

@@ -14,22 +14,31 @@ unequal coefficients.  On each one the answer must be
   usually ended.  The second comparison skips problems on which a barrier
   outside any case already separates a level pair: the unsplit scan does
   that too, and reports ``*`` at that level.
+
+Problems that differ only in their constant form one equation family and
+share their split-case work on a ``ProblemCache``.  Each member solved
+through one cache must equal the member solved alone, whatever the order,
+and a member whose budget runs out mid-split must leave no case work
+behind.
 """
 
 from importlib import import_module
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import delinearize
+from repro.core import ProblemCache, cached_delinearize, delinearize
 from repro.core.groups import _refine_with_tests
+from repro.core.resilience import Budget, BudgetExhausted
 from repro.deptests import (
     DependenceProblem,
     Verdict,
     exhaustive_direction_vectors,
     exhaustive_test,
 )
+from repro.symbolic import LinExpr
 
 # ``repro.core.delinearize`` the attribute is the function; this is the module.
 scan_module = import_module("repro.core.delinearize")
@@ -57,6 +66,33 @@ def split_problems(draw):
         stride *= draw(st.integers(2, 9))
     constant = draw(st.integers(-2 * stride, 2 * stride))
     return DependenceProblem.single(coeffs, constant, bounds, pairs=pairs)
+
+
+@st.composite
+def split_families(draw):
+    """2-8 problems that differ only in their constant."""
+    problem = draw(split_problems())
+    (equation,) = problem.equations
+    reach = sum(
+        abs(coeff.as_int()) * problem.variables[name].upper.as_int()
+        for name, coeff in equation.coeffs.items()
+    )
+    constants = draw(
+        st.lists(
+            st.integers(-reach - 2, reach + 2),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        )
+    )
+    return [
+        DependenceProblem(
+            [LinExpr(dict(equation.coeffs), constant)],
+            list(problem.variables.values()),
+            problem.common_levels,
+        )
+        for constant in constants
+    ]
 
 
 def _splits(result) -> bool:
@@ -137,3 +173,62 @@ def test_split_is_at_least_as_precise_as_refinement(
         assert result.verdict is Verdict.INDEPENDENT
     if result.verdict is not Verdict.INDEPENDENT:
         assert _atoms(result.direction_vectors) <= _atoms(refined.dirvecs)
+
+
+def _same_answer(result, lone, traced: bool) -> None:
+    assert result.verdict is lone.verdict
+    assert result.direction_vectors == lone.direction_vectors
+    assert result.distances == lone.distances
+    assert result.dimensions_found == lone.dimensions_found
+    if traced:
+        assert result.trace == lone.trace
+        assert result.format_trace() == lone.format_trace()
+
+
+@given(split_families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_family_members_share_cases_and_match_their_lone_answers(
+    members, data
+):
+    assume(sum(_splits(delinearize(p, keep_trace=True)) for p in members) >= 2)
+    # Each member is solved with or without the audit (which keeps the
+    # trace), in a shuffled order, all through one cache.
+    traced = data.draw(
+        st.lists(st.booleans(), min_size=len(members), max_size=len(members))
+    )
+    order = data.draw(st.permutations(range(len(members))))
+    cache = ProblemCache()
+    for index in order:
+        problem, keep = members[index], traced[index]
+        audit = (lambda problem, result: []) if keep else None
+        result = cached_delinearize(problem, cache=cache, audit=audit)
+        _same_answer(result, delinearize(problem, keep_trace=keep), keep)
+
+
+@given(split_families(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_member_out_of_budget_mid_split_leaves_no_case_work(members, data):
+    first, second = members[:2]
+    counted = Budget(steps=10**9)
+    assume(_splits(delinearize(first, keep_trace=True, budget=counted)))
+    steps = counted.limit - counted.remaining
+    cache = ProblemCache()
+    touched = []
+    family = cache.family
+
+    def watched(context, order):
+        memo = family(context, order)
+        touched.append(memo)
+        return memo
+
+    cache.family = watched
+    budget = Budget(steps=data.draw(st.integers(1, steps - 1)))
+    with pytest.raises(BudgetExhausted):
+        cached_delinearize(first, cache=cache, budget=budget)
+    assume(touched)  # the split began before the budget ran out
+    assert len(cache) == 0
+    assert all(not memo.heads and not memo.rests for memo in touched)
+    for problem in (second, first):
+        _same_answer(
+            cached_delinearize(problem, cache=cache), delinearize(problem), False
+        )

@@ -1,10 +1,11 @@
 """Tests for the end-to-end compilation driver."""
 
 from repro.analysis import normalize_program
+from repro.vectorizer import allen_kennedy
 from repro.depgraph import analyze_dependences
 from repro.driver import analyzed_source, compile_c, compile_fortran
 from repro.frontend import parse_fortran
-from repro.ir import run_program
+from repro.ir import run_program, scalar_conflicts
 from repro.lint.diagnostics import render_json
 from repro.lint.engine import lint_source
 from repro.vectorizer import run_schedule, vectorize
@@ -111,6 +112,44 @@ class TestCPipeline:
         )
         assert "pointer-conversion" not in report.phases
         assert report.serial_statements == ["S1"]
+
+
+class TestOnlyVerifiedPlansAreEmitted:
+    """A schedule the verifier rejects is replaced by the serial one."""
+
+    SOURCE = "REAL A(0:9)\nDO i = 0, 9\nT = i * 2\nA(i) = T\nENDDO\n"
+
+    @staticmethod
+    def dropping_one_conflict(program):
+        """Codegen's scalar conflicts without the first between two
+        statements (here: S1 writes T, S2 reads it)."""
+        conflicts = list(scalar_conflicts(program))
+        first = next(i for i, c in enumerate(conflicts) if c[0] is not c[2])
+        return conflicts[:first] + conflicts[first + 1 :]
+
+    def test_rejected_schedule_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            allen_kennedy, "scalar_conflicts", self.dropping_one_conflict
+        )
+        # The vectorizer alone now distributes S2 out of the loop.
+        program = normalize_program(parse_fortran(self.SOURCE))
+        broken = vectorize(analyze_dependences(program, normalized=True))
+        assert broken.vectorized_statements() == ["S2"]
+
+        report = compile_fortran(self.SOURCE)
+        assert report.vectorized_statements == []
+        assert "A(0:9) = T" not in report.output
+        assert report.schedule_ok
+        assert [d.code for d in report.degradations] == ["RS003"]
+        assert "VR003" in report.degradations[0].message
+        expected = run_program(parse_fortran(self.SOURCE)).snapshot()
+        assert run_schedule(report.plan).snapshot() == expected
+
+    def test_accepted_schedule_is_kept(self):
+        report = compile_fortran(self.SOURCE)
+        assert report.schedule_ok
+        assert report.degradations == []
+        assert "DO i = 0, 9" in report.output
 
 
 class TestIgnoredJobsKeyword:

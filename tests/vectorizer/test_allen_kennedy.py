@@ -162,6 +162,25 @@ class TestScalars:
         assert len(result.plan) == 1
         assert "X = 1" in emit_program(result)
 
+    def test_scalar_named_like_another_nests_loop_variable(self):
+        # k is a scalar in the second nest and the loop variable of the
+        # third: the second nest still needs its k = j -> A(k) edge, or the
+        # two statements land in separate j loops and A(0:8) is never set.
+        from repro.driver import compile_fortran
+        from repro.ir import run_program
+        from repro.vectorizer import run_schedule
+
+        src = (
+            "REAL A(0:99), B(0:99)\nDO j = 0, 9\nB(j) = j + 1\nENDDO\n"
+            "DO j = 0, 9\nk = j\nA(k) = B(j)\nENDDO\n"
+            "DO k = 0, 3\nB(k) = 1\nENDDO\n"
+        )
+        report = compile_fortran(src)
+        assert report.output.count("DO j") == 1
+        assert not report.degradations
+        expected = run_program(parse_fortran(src)).snapshot()
+        assert run_schedule(report.plan).snapshot() == expected
+
     def test_serial_statements_sharing_an_inner_loop_stay_in_it(self):
         # M couples S3 (in the I loop only) with S4 and S5 (in the J
         # loop), so below level 1 no loop encloses the whole cycle; S4 and

@@ -139,6 +139,50 @@ def test_induction_nests_compile_to_the_serial_result(source):
     assert run_schedule(plan, env).snapshot() == serial.snapshot(), source
 
 
+SCOPED_NAMES = ["j", "k", "m"]
+
+
+@st.composite
+def scalar_scope_programs(draw):
+    """Nests whose loop variables are other nests' scalars.
+
+    Every name of :data:`SCOPED_NAMES` starts as a scalar; each nest runs
+    one of them as its loop variable, assigns the others and reads them in
+    subscripts.  Whether a name is a scalar depends on the statement's own
+    enclosing loops, not on the loops elsewhere in the program.
+    """
+    lines = ["REAL A(0:99), B(0:99)"]
+    lines += [f"{name} = {draw(st.integers(0, 3))}" for name in SCOPED_NAMES]
+    for _ in range(draw(st.integers(2, 4))):
+        var = draw(st.sampled_from(SCOPED_NAMES))
+        scalars = [name for name in SCOPED_NAMES if name != var]
+        lines.append(f"DO {var} = 0, {draw(st.integers(1, 9))}")
+        for _ in range(draw(st.integers(1, 3))):
+            shift = draw(st.integers(0, 3))
+            if draw(st.booleans()):
+                target = draw(st.sampled_from(scalars))
+                value = draw(st.sampled_from([var, *scalars]))
+                if value == target:
+                    value = var
+                lines.append(f"{target} = {value} + {shift}")
+            else:
+                lhs = draw(st.sampled_from(["A", "B"]))
+                rhs = draw(st.sampled_from(["A", "B"]))
+                write = draw(st.sampled_from([var, *scalars]))
+                read = draw(st.sampled_from([var, *scalars]))
+                lines.append(f"{lhs}({write} + {shift}) = {rhs}({read}) + 1")
+        lines.append("ENDDO")
+    return "\n".join(lines) + "\n"
+
+
+@given(scalar_scope_programs())
+@settings(max_examples=100, deadline=None)
+def test_scalars_named_like_other_nests_loop_variables(source):
+    serial = run_program(parse_fortran(source))
+    plan = compile_fortran(source).plan
+    assert run_schedule(plan).snapshot() == serial.snapshot(), source
+
+
 def test_known_dependent_case_still_matches():
     source = "REAL D(0:9)\nDO i = 0, 8\nD(i+1) = D(i) + 1\nENDDO\n"
     program = normalize_program(parse_fortran(source))
